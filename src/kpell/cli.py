@@ -17,9 +17,11 @@ import argparse
 import json
 import sys
 import time
+from decimal import Decimal, localcontext
 from typing import Sequence
 
 from .closed_forms import eigen_product, gen_double_sum, pell_binomial, symbolic_term
+from .digits import EXACT, to_str
 from .poly import poly_str
 from .sequences import (
     ExactnessError,
@@ -27,7 +29,7 @@ from .sequences import (
     SeqParams,
     gen_binet,
     pell_binet,
-    pell_fast,
+    pell_fast_term,
     prefix,
     recurrence_guard,
     term,
@@ -89,7 +91,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             params = _parse_params(args, kind)
         except ValueError as exc:
             return _fail_usage(str(exc))
-        values = [str(v) for v in prefix(kind, params, args.n_max + 1)]
+        values = [to_str(v) for v in prefix(kind, params, args.n_max + 1)]
     if args.format == "json":
         payload: dict = {"kind": args.kind, "symbolic": bool(args.symbolic)}
         if not args.symbolic:
@@ -104,13 +106,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eval_dispatch(kind: SeqKind, params: SeqParams, n: int, method: str) -> int:
+def _eval_dispatch(kind: SeqKind, params: SeqParams, n: int, method: str) -> int | Decimal:
     if method == "recurrence":
         return term(kind, params, n)
     if method == "fast":
         if kind is not SeqKind.PELL:
             raise ValueError("--method fast applies to kind P only")
-        return pell_fast(params.k, n)[0]
+        return pell_fast_term(params.k, n)
     if method == "binet":
         if kind is SeqKind.PELL:
             return pell_binet(params.k, n)
@@ -141,12 +143,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         value = _eval_dispatch(kind, params, args.n, args.method)
     except ValueError as exc:
         return _fail_usage(str(exc))
+    text = to_str(value)
     if args.method != "recurrence" and args.n <= CROSS_CHECK_LIMIT:
-        reference = term(kind, params, args.n)
-        if value != reference:
+        # Compared as digits: the fast route may hand back a Decimal.
+        reference = to_str(term(kind, params, args.n))
+        if text != reference:
             print(
                 f"kpell: internal cross-check failed: method {args.method} gave "
-                f"{value}, recurrence gave {reference}",
+                f"{text}, recurrence gave {reference}",
                 file=sys.stderr,
             )
             return 1
@@ -155,10 +159,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if kind is SeqKind.GEN_PELL:
             payload["a"] = params.a
         payload["n"] = args.n
-        payload["value"] = str(value)
+        payload["value"] = text
         _emit_json(payload)
     else:
-        print(value)
+        print(text)
     return 0
 
 
@@ -256,11 +260,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for run in range(args.repeat):
         start = time.perf_counter()
         if args.method == "fast":
-            value = pell_fast(args.k, args.n)[0]
+            value = pell_fast_term(args.k, args.n)
         else:
             value = term(SeqKind.PELL, params, args.n)
         elapsed = time.perf_counter() - start
-        digest = value % (1 << 64)
+        with localcontext(EXACT):
+            digest = value % (1 << 64)
         print(
             f"method={args.method} k={args.k} n={args.n} run={run} "
             f"time_s={elapsed:.6f} digest={digest}"

@@ -13,19 +13,23 @@ and differ only in their first two terms:
 
 Beyond the plain recurrence this module provides root-power (Binet-style)
 evaluation in Q(sqrt(1+k)), inter-sequence conversions, an index-addition
-rule, and an O(log n) doubling evaluator for P.  Every route is exact; a
-route that would silently leave the integers raises ExactnessError instead.
+rule, and an O(log n) doubling evaluator for P, run on int or, for huge terms,
+on exact Decimal.  Every route is exact; a route that would silently leave the
+integers raises ExactnessError instead.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from enum import Enum, unique
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
+from .digits import DECIMAL_MIN_DIGITS, EXACT
 from .quadratic import QuadNum, quad_roots
 
 DEFAULT_GUARD_N = 10_000_000
@@ -91,6 +95,17 @@ def recurrence_guard() -> int:
 def _check_index(n: int) -> None:
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"index must be a nonnegative integer, got {n!r}")
+
+
+def estimated_digits(k: int, n: int) -> float:
+    """About how many decimal digits a term at index n has: n*log10(1+sqrt(1+k)).
+
+    Every kind grows by the dominant root 1+sqrt(1+k) per index; its seeds
+    move the count by a few digits only.  The root is taken in logarithms so
+    that a k past the range of a float does not overflow.
+    """
+    half = math.log10(1 + k) / 2
+    return n * (half + math.log10(1 + 10**-half))
 
 
 def term_stream(kind: SeqKind, params: SeqParams) -> Iterator[int]:
@@ -176,8 +191,13 @@ def pell_addition(k: int, n: int, m: int) -> int:
     return k * pn_prev * pm + pn * pm_next
 
 
-def pell_fast(k: int, n: int) -> tuple[int, int]:
-    """(P_n, P_{n+1}) in O(log n) big-integer multiplications.
+def _check_k(k: int) -> None:
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+
+
+def _doubling(k: int, n: int, u, v):
+    """(P_n, P_{n+1}) from (u, v) = (P_0, P_1), in the number type of u and v.
 
     Walks the bits of n from the most significant down, maintaining the
     pair (u, v) = (P_m, P_{m+1}) and doubling the index with
@@ -188,10 +208,6 @@ def pell_fast(k: int, n: int) -> tuple[int, int]:
     (index addition at m + m and m + (m+1), using k*P_{m-1} = v - 2*u),
     then stepping one index further when the bit is set.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    _check_index(n)
-    u, v = 0, 1
     for shift in range(n.bit_length() - 1, -1, -1):
         even = 2 * u * (v - u)
         odd = v * v + k * u * u
@@ -200,3 +216,26 @@ def pell_fast(k: int, n: int) -> tuple[int, int]:
         else:
             u, v = even, odd
     return u, v
+
+
+def pell_fast(k: int, n: int) -> tuple[int, int]:
+    """(P_n, P_{n+1}) in O(log n) big-integer multiplications (Takahashi, IPL 75, 2000)."""
+    _check_k(k)
+    _check_index(n)
+    return _doubling(k, n, 0, 1)
+
+
+def pell_fast_term(k: int, n: int) -> int | Decimal:
+    """P_n by doubling: pell_fast's int, or an exact Decimal for a huge term.
+
+    Past DECIMAL_MIN_DIGITS estimated digits the loop runs on Decimal under
+    the EXACT context, where libmpdec's transform multiplication beats int's
+    Karatsuba and ``str()`` is linear.  Print the result with ``str()`` or
+    ``digits.to_str``; reduce it only under EXACT.
+    """
+    _check_k(k)
+    _check_index(n)
+    if estimated_digits(k, n) <= DECIMAL_MIN_DIGITS:
+        return pell_fast(k, n)[0]
+    with localcontext(EXACT):
+        return _doubling(k, n, Decimal(0), Decimal(1))[0]

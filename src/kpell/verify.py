@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .closed_forms import eigen_product
+from .digits import to_str
 from .quadratic import QuadNum, quad_roots
 from .sequences import SeqKind, SeqParams, prefix, term
 from .tridiagonal import bareiss_det, gen_pell_cofactor, pell_cofactor
@@ -36,8 +37,8 @@ class CheckResult:
         return {
             "identity_name": self.identity_name,
             "inputs": dict(self.inputs),
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": to_str(self.lhs),
+            "rhs": to_str(self.rhs),
             "residual_is_zero": self.residual_is_zero,
         }
 

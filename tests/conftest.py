@@ -1,3 +1,6 @@
+import sys
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 # Deterministic property tests: derandomize replays the same example set on
@@ -9,3 +12,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("det")
+
+
+@pytest.fixture
+def int_str_limit():
+    """Set Python's int->str digit limit for one test; the old limit is restored after it.
+
+    The in-process CLI tests lift the limit for the whole process, so a test
+    that depends on it must set it itself.
+    """
+    old = sys.get_int_max_str_digits()
+    try:
+        yield sys.set_int_max_str_digits
+    finally:
+        sys.set_int_max_str_digits(old)

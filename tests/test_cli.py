@@ -4,6 +4,8 @@ import pytest
 
 from kpell import cli
 from kpell.cli import main
+from kpell.digits import DECIMAL_MIN_DIGITS
+from kpell.sequences import estimated_digits
 
 
 def run(capsys, *argv):
@@ -141,6 +143,16 @@ class TestEval:
         assert code == 0
         digits = out.strip()
         assert len(digits) == 38278 and digits.isdigit()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_decimal_fast_route_matches_recurrence(self, capsys, fmt):
+        n = 30_011  # past the cross-check limit, so only this test compares them
+        assert estimated_digits(2, n) > DECIMAL_MIN_DIGITS
+        argv = ["eval", "--kind", "P", "--k", "2", "--n", str(n), "--format", fmt]
+        code, fast_out, _ = run(capsys, *argv, "--method", "fast")
+        assert code == 0
+        _, rec_out, _ = run(capsys, *argv)
+        assert fast_out == rec_out
 
     def test_guard_trips_recurrence(self, capsys, monkeypatch):
         monkeypatch.setenv("KPELL_GUARD_N", "50")
@@ -319,10 +331,11 @@ class TestBench:
         assert len(digests) == 1
 
     def test_methods_share_digest(self, capsys):
-        _, fast_out, _ = run(capsys, "bench", "--k", "2", "--n", "300", "--method", "fast")
-        _, rec_out, _ = run(capsys, "bench", "--k", "2", "--n", "300", "--method", "recurrence")
         digest = lambda s: s.split("digest=")[1].strip()
-        assert digest(fast_out) == digest(rec_out)
+        for n in ("300", "30011"):  # the second runs the fast route on Decimal
+            _, fast_out, _ = run(capsys, "bench", "--k", "2", "--n", n, "--method", "fast")
+            _, rec_out, _ = run(capsys, "bench", "--k", "2", "--n", n, "--method", "recurrence")
+            assert digest(fast_out) == digest(rec_out)
 
     def test_guard_blocks_recurrence(self, capsys, monkeypatch):
         monkeypatch.setenv("KPELL_GUARD_N", "50")

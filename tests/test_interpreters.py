@@ -1,0 +1,62 @@
+"""The CLI gives the same answers under every local CPython the package supports.
+
+Interpreters are looked up as ``$(pyenv root)/versions/<minor>.*/bin/python``;
+a minor version with none installed is skipped.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MINORS = ("3.10", "3.12", "3.13")
+# Both run the doubling loop on Decimal; bench prints a digest, eval every digit.
+COMPARED = (
+    ("bench", "--k", "1", "--n", "200000"),
+    ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast"),
+)
+VERIFY = ("verify", "--k-max", "2", "--a-max", "2", "--n-max", "8")
+
+
+def _kpell(python: str, argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [python, "-m", "kpell", *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def _stdout(python: str, argv) -> str:
+    proc = _kpell(python, argv)
+    assert proc.returncode == 0, proc.stderr
+    return re.sub(r" time_s=\S+", "", proc.stdout)
+
+
+def _interpreters(minor: str) -> list[str]:
+    root = os.environ.get("PYENV_ROOT")
+    if root is None and (pyenv := shutil.which("pyenv")):
+        found = subprocess.run([pyenv, "root"], capture_output=True, text=True)
+        root = found.stdout.strip() if found.returncode == 0 else None
+    if not root:
+        return []
+    return sorted(str(p) for p in Path(root).glob(f"versions/{minor}.*/bin/python"))
+
+
+@pytest.fixture(scope="module")
+def expected() -> list[str]:
+    return [_stdout(sys.executable, argv) for argv in COMPARED]
+
+
+@pytest.mark.parametrize("minor", MINORS)
+def test_interpreter_matches_running_one(minor, expected):
+    pythons = _interpreters(minor)
+    if not pythons:
+        pytest.skip(f"no local CPython {minor}")
+    for python in pythons:
+        assert [_stdout(python, argv) for argv in COMPARED] == expected, python
+        proc = _kpell(python, VERIFY)
+        assert proc.returncode == 0, f"{python}: {proc.stderr}"

@@ -1,9 +1,12 @@
 from itertools import islice
 
+from decimal import Decimal, localcontext
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kpell.digits import DECIMAL_MIN_DIGITS, EXACT
 from kpell.sequences import (
     DEFAULT_GUARD_N,
     SeqKind,
@@ -14,7 +17,9 @@ from kpell.sequences import (
     initial_pair,
     pell_addition,
     pell_binet,
+    estimated_digits,
     pell_fast,
+    pell_fast_term,
     prefix,
     recurrence_guard,
     term,
@@ -190,10 +195,42 @@ class TestFastDoubling:
         assert v2 == 2 * v + k * u
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            pell_fast(0, 5)
-        with pytest.raises(ValueError):
-            pell_fast(1, -1)
+        for route in (pell_fast, pell_fast_term):
+            with pytest.raises(ValueError):
+                route(0, 5)
+            with pytest.raises(ValueError):
+                route(1, -1)
+
+    def test_small_terms_stay_int(self):
+        assert estimated_digits(1, 1000) < DECIMAL_MIN_DIGITS
+        value = pell_fast_term(1, 1000)
+        assert type(value) is int and value == pell_fast(1, 1000)[0]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("n", [30_011, 10**6])
+    def test_decimal_doubling_digest_matches_int(self, k, n):
+        assert estimated_digits(k, n) > DECIMAL_MIN_DIGITS
+        value = pell_fast_term(k, n)
+        assert isinstance(value, Decimal)
+        with localcontext(EXACT):
+            digest = value % (1 << 64)
+        assert int(digest) == pell_fast(k, n)[0] % (1 << 64)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_decimal_doubling_digits_match_int(self, k, int_str_limit):
+        int_str_limit(0)
+        assert str(pell_fast_term(k, 40_001)) == str(pell_fast(k, 40_001)[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 100])
+@pytest.mark.parametrize("n", [10, 1000, 3000])
+def test_estimated_digits_is_within_two_of_the_term(k, n):
+    actual = len(str(term(SeqKind.PELL, SeqParams(k), n)))
+    assert abs(estimated_digits(k, n) - actual) <= 2
+
+
+def test_estimated_digits_takes_k_past_float_range():
+    assert estimated_digits(10**400, 3) == pytest.approx(600, abs=1)
 
 
 @given(

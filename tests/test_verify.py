@@ -156,6 +156,15 @@ class TestResultShape:
         assert back["inputs"] == {"k": 2, "a": 3, "n": 4}
         assert back["lhs"] == str(res.lhs) and back["rhs"] == str(res.rhs)
 
+    def test_to_dict_renders_past_the_default_digit_limit(self, int_str_limit):
+        int_str_limit(4300)
+        res = check_convolution1(1, 6000, 6000)
+        d = res.to_dict()
+        assert d["residual_is_zero"] is True
+        int_str_limit(0)
+        assert d["lhs"] == d["rhs"] == str(res.lhs)
+        assert len(d["lhs"]) == 4593
+
     def test_quadratic_sides_serialize_as_text(self):
         res = check_docagne(SeqParams(1, 1), m=2, n=0)
         d = res.to_dict()
