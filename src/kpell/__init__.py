@@ -25,7 +25,6 @@ from .sequences import (
     gen_from_lucas,
     gen_from_pell,
     initial_pair,
-    pell_addition,
     pell_binet,
     pell_fast,
     prefix,

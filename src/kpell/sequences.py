@@ -12,10 +12,10 @@ and differ only in their first two terms:
     G (generalized):    a, a        (a >= 1; a = 1 gives q)
 
 Beyond the plain recurrence this module provides root-power (Binet-style)
-evaluation in Q(sqrt(1+k)), inter-sequence conversions, an index-addition
-rule, and an O(log n) doubling evaluator for P, run on int or, for huge terms,
-on exact Decimal.  Every route is exact; a route that would silently leave the
-integers raises ExactnessError instead.
+evaluation in Q(sqrt(1+k)), inter-sequence conversions and an O(log n)
+doubling evaluator for P, run on int or, for huge terms, on exact Decimal.
+Every route is exact; a route that would silently leave the integers raises
+ExactnessError instead.
 """
 
 from __future__ import annotations
@@ -117,15 +117,20 @@ def term_stream(kind: SeqKind, params: SeqParams) -> Iterator[int]:
         prev, cur = cur, 2 * cur + k * prev
 
 
-def term(kind: SeqKind, params: SeqParams, n: int) -> int:
-    """The n-th term by direct recurrence (O(n), guarded by KPELL_GUARD_N)."""
-    _check_index(n)
+def guard_index(n: int) -> None:
+    """Refuse an index past the O(n) routes' guard, as ``term`` does."""
     guard = recurrence_guard()
     if n > guard:
         raise ValueError(
             f"n={n} exceeds the O(n) evaluation guard of {guard}; "
             f"set {GUARD_ENV_VAR} to raise it, or use the doubling route"
         )
+
+
+def term(kind: SeqKind, params: SeqParams, n: int) -> int:
+    """The n-th term by direct recurrence (O(n), guarded by KPELL_GUARD_N)."""
+    _check_index(n)
+    guard_index(n)
     prev, cur = initial_pair(kind, params)
     for _ in range(n):
         prev, cur = cur, 2 * cur + params.k * prev
@@ -179,16 +184,6 @@ def gen_from_pell(params: SeqParams, n: int) -> int:
         raise ValueError(f"the Pell conversion needs n >= 1, got {n!r}")
     p_prev, p_cur = prefix(SeqKind.PELL, params, n + 1)[-2:]
     return params.a * p_cur + params.a * params.k * p_prev
-
-
-def pell_addition(k: int, n: int, m: int) -> int:
-    """P_{n+m} from terms near n and m: k*P_{n-1}*P_m + P_n*P_{m+1}."""
-    params = SeqParams(k)
-    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
-        raise ValueError(f"index addition needs n, m >= 1, got n={n!r}, m={m!r}")
-    pn_prev, pn = prefix(SeqKind.PELL, params, n + 1)[-2:]
-    pm, pm_next = prefix(SeqKind.PELL, params, m + 2)[-2:]
-    return k * pn_prev * pm + pn * pm_next
 
 
 def _check_k(k: int) -> None:

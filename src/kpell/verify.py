@@ -3,20 +3,23 @@
 Each ``check_*`` function evaluates both sides of one identity and returns a
 CheckResult rather than asserting, so callers can render counterexamples.
 ``run_suite`` sweeps selected checks over a parameter grid and reports
-per-identity pass/fail counts.  The two eigenvalue checks are floating-point
-cross-checks and are therefore *not* part of the ``"all"`` selection, whose
-checks are exact; they must be selected by name.
+per-identity pass/fail counts.  Both run the same body per identity: a
+``check_*`` call feeds it terms walked one at a time through ``term``, a sweep
+feeds it integer prefixes, each (kind, k, a) one built once and shared.  The two
+eigenvalue checks are floating-point cross-checks and are therefore *not* part
+of the ``"all"`` selection, whose checks are exact; they must be selected by
+name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .closed_forms import eigen_product
 from .digits import to_str
-from .quadratic import QuadNum, quad_roots
-from .sequences import SeqKind, SeqParams, prefix, term
+from .quadratic import QuadNum
+from .sequences import SeqKind, SeqParams, guard_index, prefix, term
 from .tridiagonal import bareiss_det, gen_pell_cofactor, pell_cofactor
 
 
@@ -43,120 +46,109 @@ class CheckResult:
         }
 
 
-def _gen(params: SeqParams, n: int) -> int:
-    return term(SeqKind.GEN_PELL, params, n)
+def _root_power(d: int, e: int) -> tuple[int, int]:
+    """(x, y) with (1 + sqrt(d))**e = x + y*sqrt(d), by square-and-multiply in Z[sqrt(d)]."""
+    x, y, bx, by = 1, 0, 1, 1
+    while e:
+        if e & 1:
+            x, y = x * bx + d * y * by, x * by + y * bx
+        bx, by = bx * bx + d * by * by, 2 * bx * by
+        e >>= 1
+    return x, y
 
 
-def _pell(k: int, n: int) -> int:
-    return term(SeqKind.PELL, SeqParams(k), n)
+class _Walk:
+    """Terms read one at a time through ``term``, for a single check.
+
+    A single check reads a handful of indices, so it walks the recurrence
+    for each rather than hold a prefix: memory stays flat at large indices.
+    """
+
+    def __init__(self, kind: SeqKind, params: SeqParams) -> None:
+        self.kind, self.params = kind, params
+
+    def __getitem__(self, n: int) -> int:
+        return term(self.kind, self.params, n)
 
 
-def check_catalan(params: SeqParams, n: int, r: int) -> CheckResult:
-    """G_{n-r}*G_{n+r} - G_n**2 = (-k)**(n-r) * (G_r**2 - a**2*(-k)**r)."""
-    if not (isinstance(n, int) and isinstance(r, int) and n >= r >= 1):
-        raise ValueError(f"need n >= r >= 1, got n={n!r}, r={r!r}")
+_Terms = list[int] | _Walk
+
+
+# The bodies: both sides of one identity, read from the terms G (generalized,
+# k and a) and P (Pell, k) that precede ``params``: a shared prefix in a sweep,
+# a _Walk in a single check.
+
+
+def _catalan(G: _Terms, params: SeqParams, n: int, r: int) -> CheckResult:
     a, k = params.a, params.k
-    lhs = _gen(params, n - r) * _gen(params, n + r) - _gen(params, n) ** 2
-    rhs = (-k) ** (n - r) * (_gen(params, r) ** 2 - a * a * (-k) ** r)
+    lhs = G[n - r] * G[n + r] - G[n] ** 2
+    rhs = (-k) ** (n - r) * (G[r] ** 2 - a * a * (-k) ** r)
     return CheckResult("catalan", {"a": a, "k": k, "n": n, "r": r}, lhs, rhs)
 
 
-def check_cassini(params: SeqParams, n: int) -> CheckResult:
-    """G_{n-1}*G_{n+1} - G_n**2 = a**2 * (-k)**(n-1) * (1+k)."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"need n >= 1, got {n!r}")
+def _cassini(G: _Terms, params: SeqParams, n: int) -> CheckResult:
     a, k = params.a, params.k
-    lhs = _gen(params, n - 1) * _gen(params, n + 1) - _gen(params, n) ** 2
+    lhs = G[n - 1] * G[n + 1] - G[n] ** 2
     rhs = a * a * (-k) ** (n - 1) * (1 + k)
     return CheckResult("cassini", {"a": a, "k": k, "n": n}, lhs, rhs)
 
 
-def check_docagne(params: SeqParams, m: int, n: int) -> CheckResult:
-    """G_m*G_{n+1} - G_{m+1}*G_n against its closed form in Q(sqrt(1+k)).
-
-    The right side is a*(-1)**n * k**n * sqrt(1+k) * (G_{m-n} - a*r1**(m-n)),
-    irrational termwise for non-square 1+k, so both sides are compared as
-    exact QuadNum values.
-    """
-    if not (isinstance(m, int) and isinstance(n, int) and m > n >= 0):
-        raise ValueError(f"need m > n >= 0, got m={m!r}, n={n!r}")
+def _docagne(G: _Terms, params: SeqParams, m: int, n: int) -> CheckResult:
     a, k = params.a, params.k
     d = 1 + k
-    lhs_int = _gen(params, m) * _gen(params, n + 1) - _gen(params, m + 1) * _gen(params, n)
-    lhs = QuadNum(lhs_int, 0, d)
-    r1, _ = quad_roots(k)
-    root = QuadNum(0, 1, d)
-    scale = a * (-1) ** n * k**n
-    rhs = scale * root * (QuadNum(_gen(params, m - n), 0, d) - a * r1 ** (m - n))
+    lhs = QuadNum(G[m] * G[n + 1] - G[m + 1] * G[n], 0, d)
+    # s*sqrt(d)*(G_{m-n} - a*(x + y*sqrt(d))), with s = a*(-k)**n and r1**(m-n) = x + y*sqrt(d)
+    x, y = _root_power(d, m - n)
+    s = a * (-k) ** n
+    rhs = QuadNum(-s * a * y * d, s * (G[m - n] - a * x), d)
     return CheckResult("docagne", {"a": a, "k": k, "m": m, "n": n}, lhs, rhs)
 
 
-def check_convolution1(k: int, n: int, m: int) -> CheckResult:
-    """P_{n+m} = k*P_{n-1}*P_m + P_n*P_{m+1}."""
-    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
-        raise ValueError(f"need n, m >= 1, got n={n!r}, m={m!r}")
-    lhs = _pell(k, n + m)
-    rhs = k * _pell(k, n - 1) * _pell(k, m) + _pell(k, n) * _pell(k, m + 1)
+def _convolution1(P: _Terms, params: SeqParams, n: int, m: int) -> CheckResult:
+    k = params.k
+    lhs = P[n + m]
+    rhs = k * P[n - 1] * P[m] + P[n] * P[m + 1]
     return CheckResult("convolution1", {"k": k, "n": n, "m": m}, lhs, rhs)
 
 
-def check_convolution2(k: int, n: int, m: int) -> CheckResult:
-    """2*P_{n+m} = P_{n+1}*P_{m+1} - k**2*P_{m-1}*P_{n-1}."""
-    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
-        raise ValueError(f"need n, m >= 1, got n={n!r}, m={m!r}")
-    lhs = 2 * _pell(k, n + m)
-    rhs = _pell(k, n + 1) * _pell(k, m + 1) - k * k * _pell(k, m - 1) * _pell(k, n - 1)
+def _convolution2(P: _Terms, params: SeqParams, n: int, m: int) -> CheckResult:
+    k = params.k
+    lhs = 2 * P[n + m]
+    rhs = P[n + 1] * P[m + 1] - k * k * P[m - 1] * P[n - 1]
     return CheckResult("convolution2", {"k": k, "n": n, "m": m}, lhs, rhs)
 
 
-def check_squares(k: int, n: int) -> tuple[CheckResult, CheckResult]:
-    """Both square identities at once:
-
-    P_{n+1}**2 + k*P_n**2 = P_{2n+1}  and  P_{n+1}**2 - k**2*P_{n-1}**2 = 2*P_{2n}.
-    """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"need n >= 1, got {n!r}")
-    P = prefix(SeqKind.PELL, SeqParams(k), 2 * n + 2)
-    first = CheckResult(
-        "squares1", {"k": k, "n": n}, P[n + 1] ** 2 + k * P[n] ** 2, P[2 * n + 1]
-    )
-    second = CheckResult(
-        "squares2", {"k": k, "n": n}, P[n + 1] ** 2 - k * k * P[n - 1] ** 2, 2 * P[2 * n]
-    )
-    return first, second
+def _squares1(P: _Terms, params: SeqParams, n: int) -> CheckResult:
+    k = params.k
+    lhs = P[n + 1] ** 2 + k * P[n] ** 2
+    return CheckResult("squares1", {"k": k, "n": n}, lhs, P[2 * n + 1])
 
 
-def check_partition(params: SeqParams, n: int, i: int) -> CheckResult:
-    """G_{n+1} = k*G_i*P_{n-i} + G_{i+1}*P_{n+1-i}, for every 1 <= i <= n."""
-    if not (isinstance(n, int) and isinstance(i, int) and 1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i!r}, n={n!r}")
+def _squares2(P: _Terms, params: SeqParams, n: int) -> CheckResult:
+    k = params.k
+    lhs = P[n + 1] ** 2 - k * k * P[n - 1] ** 2
+    return CheckResult("squares2", {"k": k, "n": n}, lhs, 2 * P[2 * n])
+
+
+def _partition(G: _Terms, P: _Terms, params: SeqParams, n: int, i: int) -> CheckResult:
     a, k = params.a, params.k
-    lhs = _gen(params, n + 1)
-    rhs = k * _gen(params, i) * _pell(k, n - i) + _gen(params, i + 1) * _pell(k, n + 1 - i)
+    lhs = G[n + 1]
+    rhs = k * G[i] * P[n - i] + G[i + 1] * P[n + 1 - i]
     return CheckResult("partition", {"a": a, "k": k, "n": n, "i": i}, lhs, rhs)
 
 
-def check_cofactor_dets(params: SeqParams, n: int) -> tuple[CheckResult, CheckResult]:
-    """det of both cofactor matrices against the sequence-term powers.
-
-    |C_n| = P_{n+1}**(n-1) and |D_n| = G_{n+1}**(n-1), evaluated by exact
-    fraction-free elimination on the constructed matrices.
-    """
-    if not (isinstance(n, int) and 2 <= n <= 8):
-        raise ValueError(f"need 2 <= n <= 8 (bignum growth guard), got {n!r}")
+def _cofactor_det(
+    G: _Terms, P: _Terms, params: SeqParams, n: int, matrix: str
+) -> CheckResult:
+    """|C_n| = P_{n+1}**(n-1) for matrix "C", |D_n| = G_{n+1}**(n-1) for "D"."""
     a, k = params.a, params.k
-    c_det = bareiss_det(pell_cofactor(k, n))
-    d_det = bareiss_det(gen_pell_cofactor(params, n))
-    c_result = CheckResult(
-        "cofactor-dets", {"matrix": "C", "k": k, "n": n}, c_det, _pell(k, n + 1) ** (n - 1)
-    )
-    d_result = CheckResult(
-        "cofactor-dets",
-        {"matrix": "D", "a": a, "k": k, "n": n},
-        d_det,
-        _gen(params, n + 1) ** (n - 1),
-    )
-    return c_result, d_result
+    if matrix == "C":
+        inputs = {"matrix": "C", "k": k, "n": n}
+        det, base = bareiss_det(pell_cofactor(k, n)), P[n + 1]
+    else:
+        inputs = {"matrix": "D", "a": a, "k": k, "n": n}
+        det, base = bareiss_det(gen_pell_cofactor(params, n)), G[n + 1]
+    return CheckResult("cofactor-dets", inputs, det, base ** (n - 1))
 
 
 def check_eigen(k: int, n: int, paper_verbatim: bool = False) -> CheckResult:
@@ -172,19 +164,143 @@ def check_eigen(k: int, n: int, paper_verbatim: bool = False) -> CheckResult:
     return CheckResult(name, inputs, report.rounded, report.exact)
 
 
-EXACT_IDENTITIES: tuple[str, ...] = (
-    "catalan",
-    "cassini",
-    "docagne",
-    "convolution1",
-    "convolution2",
-    "squares1",
-    "squares2",
-    "partition",
-    "cofactor-dets",
-)
+# Index tuples of a sweep at (n_max, a).
+
+
+def _singles(n_max: int, a: int) -> list[tuple]:
+    return [(n,) for n in range(1, n_max + 1)]
+
+
+def _triangle(n_max: int, a: int) -> list[tuple]:
+    return [(n, r) for n in range(1, n_max + 1) for r in range(1, n + 1)]
+
+
+def _square(n_max: int, a: int) -> list[tuple]:
+    return [(n, m) for n in range(1, n_max + 1) for m in range(1, n_max + 1)]
+
+
+def _below(n_max: int, a: int) -> list[tuple]:
+    return [(m, n) for m in range(1, n_max + 1) for n in range(m)]
+
+
+def _matrices(n_max: int, a: int) -> list[tuple]:
+    # C_n does not depend on a, so it is checked at a = 1 only
+    return [(n, c) for n in range(2, min(8, n_max) + 1) for c in ("CD" if a == 1 else "D")]
+
+
+class _Identity(NamedTuple):
+    """One registry entry: the prefixes a body reads and how it is swept.
+
+    ``body(*prefixes, params, *index)`` takes one prefix per entry of
+    ``kinds``; ``top(n_max)`` is the largest index the sweep's tuples read.
+    A sweep runs a over the grid only when G is among ``kinds``.
+    """
+
+    kinds: tuple[SeqKind, ...]
+    top: Callable[[int], int]
+    indices: Callable[[int, int], list[tuple]]
+    body: Callable[..., CheckResult]
+    guarded: bool = True  # refuse top past KPELL_GUARD_N, as term() would
+
+
+_G, _P = (SeqKind.GEN_PELL,), (SeqKind.PELL,)
+
+_REGISTRY: dict[str, _Identity] = {
+    "catalan": _Identity(_G, lambda n: 2 * n, _triangle, _catalan),
+    "cassini": _Identity(_G, lambda n: n + 1, _singles, _cassini),
+    "docagne": _Identity(_G, lambda n: n + 1, _below, _docagne),
+    "convolution1": _Identity(_P, lambda n: 2 * n, _square, _convolution1),
+    "convolution2": _Identity(_P, lambda n: 2 * n, _square, _convolution2),
+    # the squares read plain prefixes, which the O(n) guard does not cover
+    "squares1": _Identity(_P, lambda n: 2 * n + 1, _singles, _squares1, guarded=False),
+    "squares2": _Identity(_P, lambda n: 2 * n + 1, _singles, _squares2, guarded=False),
+    "partition": _Identity(_G + _P, lambda n: n + 1, _triangle, _partition),
+    "cofactor-dets": _Identity(_G + _P, lambda n: min(8, n) + 1, _matrices, _cofactor_det),
+    # eigen_product reads P_{n+1} through term()
+    "eigen": _Identity((), lambda n: n + 1, _singles, lambda p, n: check_eigen(p.k, n)),
+    "eigen-verbatim": _Identity(
+        (), lambda n: n + 1, _singles, lambda p, n: check_eigen(p.k, n, True)
+    ),
+}
 
 FLOAT_IDENTITIES: tuple[str, ...] = ("eigen", "eigen-verbatim")
+
+EXACT_IDENTITIES: tuple[str, ...] = tuple(n for n in _REGISTRY if n not in FLOAT_IDENTITIES)
+
+
+def check_catalan(params: SeqParams, n: int, r: int) -> CheckResult:
+    """G_{n-r}*G_{n+r} - G_n**2 = (-k)**(n-r) * (G_r**2 - a**2*(-k)**r)."""
+    if not (isinstance(n, int) and isinstance(r, int) and n >= r >= 1):
+        raise ValueError(f"need n >= r >= 1, got n={n!r}, r={r!r}")
+    return _catalan(_Walk(SeqKind.GEN_PELL, params), params, n, r)
+
+
+def check_cassini(params: SeqParams, n: int) -> CheckResult:
+    """G_{n-1}*G_{n+1} - G_n**2 = a**2 * (-k)**(n-1) * (1+k)."""
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"need n >= 1, got {n!r}")
+    return _cassini(_Walk(SeqKind.GEN_PELL, params), params, n)
+
+
+def check_docagne(params: SeqParams, m: int, n: int) -> CheckResult:
+    """G_m*G_{n+1} - G_{m+1}*G_n against its closed form in Q(sqrt(1+k)).
+
+    The right side is a*(-1)**n * k**n * sqrt(1+k) * (G_{m-n} - a*r1**(m-n)),
+    irrational termwise for non-square 1+k.  It is evaluated in integers, with
+    r1**(m-n) as a pair in Z[sqrt(1+k)]; both sides are returned as exact
+    QuadNum values.
+    """
+    if not (isinstance(m, int) and isinstance(n, int) and m > n >= 0):
+        raise ValueError(f"need m > n >= 0, got m={m!r}, n={n!r}")
+    return _docagne(_Walk(SeqKind.GEN_PELL, params), params, m, n)
+
+
+def check_convolution1(k: int, n: int, m: int) -> CheckResult:
+    """P_{n+m} = k*P_{n-1}*P_m + P_n*P_{m+1}."""
+    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
+        raise ValueError(f"need n, m >= 1, got n={n!r}, m={m!r}")
+    params = SeqParams(k)
+    return _convolution1(_Walk(SeqKind.PELL, params), params, n, m)
+
+
+def check_convolution2(k: int, n: int, m: int) -> CheckResult:
+    """2*P_{n+m} = P_{n+1}*P_{m+1} - k**2*P_{m-1}*P_{n-1}."""
+    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
+        raise ValueError(f"need n, m >= 1, got n={n!r}, m={m!r}")
+    params = SeqParams(k)
+    return _convolution2(_Walk(SeqKind.PELL, params), params, n, m)
+
+
+def check_squares(k: int, n: int) -> tuple[CheckResult, CheckResult]:
+    """Both square identities at once:
+
+    P_{n+1}**2 + k*P_n**2 = P_{2n+1}  and  P_{n+1}**2 - k**2*P_{n-1}**2 = 2*P_{2n}.
+    """
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError(f"need n >= 1, got {n!r}")
+    params = SeqParams(k)
+    P = prefix(SeqKind.PELL, params, 2 * n + 2)
+    return _squares1(P, params, n), _squares2(P, params, n)
+
+
+def check_partition(params: SeqParams, n: int, i: int) -> CheckResult:
+    """G_{n+1} = k*G_i*P_{n-i} + G_{i+1}*P_{n+1-i}, for every 1 <= i <= n."""
+    if not (isinstance(n, int) and isinstance(i, int) and 1 <= i <= n):
+        raise ValueError(f"need 1 <= i <= n, got i={i!r}, n={n!r}")
+    G, P = _Walk(SeqKind.GEN_PELL, params), _Walk(SeqKind.PELL, params)
+    return _partition(G, P, params, n, i)
+
+
+def check_cofactor_dets(params: SeqParams, n: int) -> tuple[CheckResult, CheckResult]:
+    """det of both cofactor matrices against the sequence-term powers.
+
+    |C_n| = P_{n+1}**(n-1) and |D_n| = G_{n+1}**(n-1), evaluated by exact
+    fraction-free elimination on the constructed matrices.
+    """
+    if not (isinstance(n, int) and 2 <= n <= 8):
+        raise ValueError(f"need 2 <= n <= 8 (bignum growth guard), got {n!r}")
+    G, P = _Walk(SeqKind.GEN_PELL, params), _Walk(SeqKind.PELL, params)
+    return _cofactor_det(G, P, params, n, "C"), _cofactor_det(G, P, params, n, "D")
 
 
 @dataclass(frozen=True)
@@ -202,71 +318,23 @@ class SweepGrid:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
-def _sweep_one(identity: str, grid: SweepGrid) -> Iterator[CheckResult]:
-    ks = range(1, grid.k_max + 1)
-    az = range(1, grid.a_max + 1)
-    ns = range(1, grid.n_max + 1)
-    if identity == "catalan":
-        for a in az:
-            for k in ks:
-                p = SeqParams(k, a)
-                for n in ns:
-                    for r in range(1, n + 1):
-                        yield check_catalan(p, n, r)
-    elif identity == "cassini":
-        for a in az:
-            for k in ks:
-                p = SeqParams(k, a)
-                for n in ns:
-                    yield check_cassini(p, n)
-    elif identity == "docagne":
-        for a in az:
-            for k in ks:
-                p = SeqParams(k, a)
-                for m in ns:
-                    for n in range(0, m):
-                        yield check_docagne(p, m, n)
-    elif identity == "convolution1":
-        for k in ks:
-            for n in ns:
-                for m in ns:
-                    yield check_convolution1(k, n, m)
-    elif identity == "convolution2":
-        for k in ks:
-            for n in ns:
-                for m in ns:
-                    yield check_convolution2(k, n, m)
-    elif identity == "squares1":
-        for k in ks:
-            for n in ns:
-                yield check_squares(k, n)[0]
-    elif identity == "squares2":
-        for k in ks:
-            for n in ns:
-                yield check_squares(k, n)[1]
-    elif identity == "partition":
-        for a in az:
-            for k in ks:
-                p = SeqParams(k, a)
-                for n in ns:
-                    for i in range(1, n + 1):
-                        yield check_partition(p, n, i)
-    elif identity == "cofactor-dets":
-        for a in az:
-            for k in ks:
-                p = SeqParams(k, a)
-                for n in range(2, min(8, grid.n_max) + 1):
-                    c_res, d_res = check_cofactor_dets(p, n)
-                    if a == 1:
-                        yield c_res  # C_n does not depend on a
-                    yield d_res
-    elif identity in FLOAT_IDENTITIES:
-        verbatim = identity == "eigen-verbatim"
-        for k in ks:
-            for n in ns:
-                yield check_eigen(k, n, verbatim)
-    else:
-        raise ValueError(f"unknown identity {identity!r}")
+def _sweep_one(
+    identity: str, grid: SweepGrid, shared: Callable[[SeqKind, SeqParams], list[int]]
+) -> Iterator[CheckResult]:
+    entry = _REGISTRY[identity]
+    top = entry.top(grid.n_max)
+    az = range(1, grid.a_max + 1) if SeqKind.GEN_PELL in entry.kinds else (1,)
+    for a in az:
+        indices = entry.indices(grid.n_max, a)
+        if not indices:
+            continue
+        for k in range(1, grid.k_max + 1):
+            params = SeqParams(k, a)
+            if entry.guarded:
+                guard_index(top)
+            seqs = [shared(kind, params) for kind in entry.kinds]
+            for index in indices:
+                yield entry.body(*seqs, params, *index)
 
 
 @dataclass(frozen=True)
@@ -312,7 +380,7 @@ def expand_selection(identities: Sequence[str]) -> tuple[str, ...]:
     for name in identities:
         if name == "all":
             expansion: tuple[str, ...] = EXACT_IDENTITIES
-        elif name in EXACT_IDENTITIES or name in FLOAT_IDENTITIES:
+        elif name in _REGISTRY:
             expansion = (name,)
         else:
             known = ", ".join(("all",) + EXACT_IDENTITIES + FLOAT_IDENTITIES)
@@ -326,9 +394,21 @@ def expand_selection(identities: Sequence[str]) -> tuple[str, ...]:
 def run_suite(
     grid: SweepGrid = SweepGrid(), identities: Sequence[str] = ("all",)
 ) -> SuiteReport:
-    """Run every selected check over the grid; failures are data, not errors."""
+    """Run every selected check over the grid; failures are data, not errors.
+
+    The prefixes live for this call only: each (kind, k, a) one is computed
+    once, up to the largest index any selected identity reads.
+    """
     selected = expand_selection(identities)
+    top = max((_REGISTRY[name].top(grid.n_max) for name in selected), default=0)
+    prefixes: dict[tuple[SeqKind, SeqParams], list[int]] = {}
+
+    def shared(kind: SeqKind, params: SeqParams) -> list[int]:
+        if (kind, params) not in prefixes:
+            prefixes[kind, params] = prefix(kind, params, top + 1)
+        return prefixes[kind, params]
+
     results: list[CheckResult] = []
     for identity in selected:
-        results.extend(_sweep_one(identity, grid))
+        results.extend(_sweep_one(identity, grid, shared))
     return SuiteReport(tuple(results))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -224,6 +225,41 @@ class TestVerify:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv, size, sha256",
+        [
+            (
+                (),
+                6_950_164,
+                "63d2ae81842e77b8d2e1771dd622ed4519e5554baa7d7a790a93a58c44b0581e",
+            ),
+            (  # k = 3, 8, 15 have a perfect-square 1+k
+                ("--k-max", "15", "--a-max", "2", "--n-max", "12"),
+                2_640_646,
+                "af0ff822b002445a1580bd4d1621601a3d9e1f30761af7a19cb7102f15cab033",
+            ),
+        ],
+    )
+    def test_json_output_is_pinned(self, capsys, argv, size, sha256):
+        # stdout of the QuadNum-based d'Ocagne and the per-check recurrence walks
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        data = out.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
+
+    def test_guard_refuses_sweep(self, capsys, monkeypatch):
+        # catalan reads G_{2n}: index 60 here, past the guard of 50
+        monkeypatch.setenv("KPELL_GUARD_N", "50")
+        code, out, err = run(
+            capsys,
+            "verify", "--identities", "catalan", "--k-max", "1", "--a-max", "1",
+            "--n-max", "30",
+        )
+        assert code == 2
+        assert out == ""
+        assert "KPELL_GUARD_N" in err
 
 
 class TestMatrix:

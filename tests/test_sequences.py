@@ -15,7 +15,6 @@ from kpell.sequences import (
     gen_from_lucas,
     gen_from_pell,
     initial_pair,
-    pell_addition,
     pell_binet,
     estimated_digits,
     pell_fast,
@@ -149,29 +148,6 @@ class TestConversions:
         assert gen_from_lucas(params, n) == expected
         if n >= 1:
             assert gen_from_pell(params, n) == expected
-
-
-class TestAddition:
-    def test_examples(self):
-        assert pell_addition(1, 2, 3) == 29  # P_5
-        assert pell_addition(1, 1, 1) == 2
-        assert pell_addition(2, 2, 2) == 16
-
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=1, max_value=40),
-    )
-    def test_matches_direct_term_and_is_symmetric(self, k, n, m):
-        value = pell_addition(k, n, m)
-        assert value == term(SeqKind.PELL, SeqParams(k), n + m)
-        assert value == pell_addition(k, m, n)
-
-    def test_rejects_zero_indices(self):
-        with pytest.raises(ValueError):
-            pell_addition(1, 0, 1)
-        with pytest.raises(ValueError):
-            pell_addition(1, 1, 0)
 
 
 class TestFastDoubling:

@@ -1,11 +1,13 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpell.quadratic import QuadNum
-from kpell.sequences import SeqKind, SeqParams, term
+from kpell import verify
+from kpell.quadratic import QuadNum, quad_roots
+from kpell.sequences import SeqKind, SeqParams, prefix, term
 from kpell.verify import (
     EXACT_IDENTITIES,
     FLOAT_IDENTITIES,
@@ -96,6 +98,27 @@ class TestSingleChecks:
     def test_convolutions(self, k, n, m):
         assert check_convolution1(k, n, m).residual_is_zero
         assert check_convolution2(k, n, m).residual_is_zero
+
+    def test_convolution1_examples(self):
+        assert check_convolution1(1, 2, 3).rhs == 29  # P_5
+        assert check_convolution1(1, 1, 1).rhs == 2
+        assert check_convolution1(2, 2, 2).rhs == 16
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_convolution1_matches_direct_term_and_is_symmetric(self, k, n, m):
+        value = check_convolution1(k, n, m).rhs
+        assert value == term(SeqKind.PELL, SeqParams(k), n + m)
+        assert value == check_convolution1(k, m, n).rhs
+
+    def test_convolution1_rejects_zero_indices(self):
+        with pytest.raises(ValueError):
+            check_convolution1(1, 0, 1)
+        with pytest.raises(ValueError):
+            check_convolution1(1, 1, 0)
 
     def test_convolution_domains(self):
         with pytest.raises(ValueError):
@@ -229,3 +252,125 @@ class TestSuite:
         d = report.to_dict()
         assert d["summary"] == {"pass": report.passed, "fail": 0}
         assert all(row["identity_name"] == "convolution1" for row in d["results"])
+
+
+def _reference_sweep(identity, grid):
+    """The sweep's grid order, written out with the public check functions."""
+    ks = range(1, grid.k_max + 1)
+    az = range(1, grid.a_max + 1)
+    ns = range(1, grid.n_max + 1)
+    ps = [SeqParams(k, a) for a in az for k in ks]
+    conv = {"convolution1": check_convolution1, "convolution2": check_convolution2}
+    if identity == "catalan":
+        return [check_catalan(p, n, r) for p in ps for n in ns for r in range(1, n + 1)]
+    if identity == "cassini":
+        return [check_cassini(p, n) for p in ps for n in ns]
+    if identity == "docagne":
+        return [check_docagne(p, m, n) for p in ps for m in ns for n in range(m)]
+    if identity in conv:
+        return [conv[identity](k, n, m) for k in ks for n in ns for m in ns]
+    if identity in ("squares1", "squares2"):
+        return [check_squares(k, n)[identity == "squares2"] for k in ks for n in ns]
+    if identity == "partition":
+        return [check_partition(p, n, i) for p in ps for n in ns for i in range(1, n + 1)]
+    assert identity == "cofactor-dets"
+    out = []
+    for p in ps:
+        for n in range(2, min(8, grid.n_max) + 1):
+            c_res, d_res = check_cofactor_dets(p, n)
+            out += [c_res, d_res] if p.a == 1 else [d_res]
+    return out
+
+
+class TestSharedPrefixes:
+    """The sweep reads shared prefixes; a check_* call reads terms through term()."""
+
+    @pytest.mark.parametrize("identity", EXACT_IDENTITIES)
+    def test_sweep_equals_per_check_results(self, identity):
+        grid = SweepGrid(k_max=4, a_max=2, n_max=9)  # k = 3: perfect-square 1+k
+        swept = [r.to_dict() for r in run_suite(grid, (identity,)).results]
+        assert swept == [r.to_dict() for r in _reference_sweep(identity, grid)]
+
+    @pytest.mark.parametrize("identity", EXACT_IDENTITIES)
+    def test_perturbed_term_breaks_a_residual(self, identity):
+        # Each side is computed on its own: a wrong term shows as a residual.
+        entry = verify._REGISTRY[identity]
+        n_max, params = 8, SeqParams(2, 1)  # a = 1 sweeps both cofactor matrices
+        clean = [prefix(kind, params, entry.top(n_max) + 1) for kind in entry.kinds]
+        indices = entry.indices(n_max, params.a)
+
+        def all_zero(seqs):
+            return all(entry.body(*seqs, params, *index).residual_is_zero for index in indices)
+
+        assert all_zero(clean)
+        for which in range(len(clean)):
+            for pos in range(3, n_max + 1):
+                seqs = [list(seq) for seq in clean]
+                seqs[which][pos] += 1
+                assert not all_zero(seqs), (which, pos)
+
+    @pytest.mark.parametrize(
+        "identity, top",
+        [
+            ("catalan", 20),
+            ("cassini", 11),
+            ("docagne", 11),
+            ("convolution1", 20),
+            ("convolution2", 20),
+            ("partition", 11),
+            ("cofactor-dets", 9),
+            ("eigen", 11),
+        ],
+    )
+    def test_guard_refuses_the_largest_index_read(self, monkeypatch, identity, top):
+        grid = SweepGrid(k_max=1, a_max=1, n_max=10)
+        monkeypatch.setenv("KPELL_GUARD_N", str(top))
+        run_suite(grid, (identity,))
+        monkeypatch.setenv("KPELL_GUARD_N", str(top - 1))
+        with pytest.raises(ValueError, match="KPELL_GUARD_N"):
+            run_suite(grid, (identity,))
+
+    def test_squares_are_unguarded(self, monkeypatch):
+        monkeypatch.setenv("KPELL_GUARD_N", "0")
+        report = run_suite(SweepGrid(k_max=2, n_max=10), ("squares1", "squares2"))
+        assert report.all_passed and len(report.results) == 40
+
+    def test_single_check_holds_no_prefix(self):
+        # a prefix up to n = 20000 would hold ~30 MB of terms
+        tracemalloc.start()
+        try:
+            assert check_cassini(SeqParams(1), 20_000).residual_is_zero
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_no_guard_read_without_a_check(self, monkeypatch):
+        monkeypatch.setenv("KPELL_GUARD_N", "-1")  # invalid: any guard read raises
+        assert run_suite(SweepGrid(n_max=1), ("cofactor-dets",)).results == ()
+
+
+class TestIntegerDocagne:
+    def test_root_power(self):
+        for d in (2, 3, 4, 6, 9, 16):
+            r1 = QuadNum(1, 1, d)
+            for e in range(30):
+                x, y = verify._root_power(d, e)
+                assert QuadNum(x, y, d) == r1**e
+
+    def test_matches_the_quadnum_formula(self):
+        for k in (1, 2, 3, 5, 8, 15):
+            d = 1 + k
+            r1, _ = quad_roots(k)
+            powers = [r1**j for j in range(26)]
+            root = QuadNum(0, 1, d)
+            for a in (1, 3):
+                params = SeqParams(k, a)
+                G = prefix(SeqKind.GEN_PELL, params, 27)
+                for m in range(1, 26):
+                    for n in range(m):
+                        scale = a * (-1) ** n * k**n
+                        expected = scale * root * (QuadNum(G[m - n], 0, d) - a * powers[m - n])
+                        res = check_docagne(params, m, n)
+                        assert res.rhs == expected and str(res.rhs) == str(expected)
+                        assert res.residual_is_zero
