@@ -35,13 +35,12 @@ from .tridiagonal import (
     DenseMat,
     ThetaPhi,
     Tridiag,
+    adjugate,
     bareiss_det,
     det_continuant,
     gen_matrix,
     gen_pell_cofactor,
-    gen_pell_inverse_closed,
     pell_cofactor,
-    pell_inverse_closed,
     theta_phi,
     tridiag_apply,
     usmani_inverse,

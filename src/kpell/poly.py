@@ -65,17 +65,9 @@ class KPoly:
         return self + (-1) * other
 
     def __mul__(self, other: object) -> "KPoly":
-        if isinstance(other, int):
-            return KPoly(c * other for c in self._coeffs)
-        if isinstance(other, KPoly):
-            if not self._coeffs or not other._coeffs:
-                return KPoly()
-            out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return KPoly(out)
-        return NotImplemented
+        if not isinstance(other, int):
+            return NotImplemented
+        return KPoly(c * other for c in self._coeffs)
 
     __rmul__ = __mul__
 

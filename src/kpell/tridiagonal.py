@@ -3,9 +3,9 @@
 The n x n generating matrix of each sequence has the sequence's second-order
 weights on a Toeplitz interior (2 on the diagonal, k above, -1 below) and the
 kind-specific pair in its first row; its determinant is the (n+1)-th term.
-This module computes determinants by three-term continuants, inverses by the
-theta/phi continuant formula for general tridiagonal matrices, closed-form
-inverses and cofactor matrices for the P and G families, and exact integer
+This module computes determinants by three-term continuants, the integer
+adjugate of any tridiagonal matrix from its theta/phi continuants (the inverse
+is adjugate / det, the matrix of cofactors its transpose), and exact integer
 determinants of arbitrary dense matrices by fraction-free elimination.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .sequences import SeqKind, SeqParams, prefix
+from .sequences import SeqKind, SeqParams
 
 Entry = int | Fraction
 
@@ -220,36 +220,42 @@ def theta_phi(t: Tridiag) -> ThetaPhi:
     return ThetaPhi(tuple(theta), tuple(phi))
 
 
-def usmani_inverse(t: Tridiag) -> DenseMat:
-    """The exact inverse of a nonsingular tridiagonal matrix.
+def adjugate(t: Tridiag) -> DenseMat:
+    """The adjugate of a tridiagonal matrix: det times its inverse, division-free.
 
-    Entry (i, j) is a ratio of continuants times a run of off-diagonal band
-    entries:
+    Entry (i, j) is a run of off-diagonal band entries times two continuants
+    (Usmani, LAA 212/213, 1994):
 
-        i < j:  (-1)**(i+j) * b_i*...*b_{j-1} * theta_{i-1} * phi_{j+1} / det
-        i == j:                               theta_{i-1} * phi_{i+1} / det
-        i > j:  (-1)**(i+j) * c_j*...*c_{i-1} * theta_{j-1} * phi_{i+1} / det
+        i < j:  (-1)**(i+j) * b_i*...*b_{j-1} * theta_{i-1} * phi_{j+1}
+        i == j:                               theta_{i-1} * phi_{i+1}
+        i > j:  (-1)**(i+j) * c_j*...*c_{i-1} * theta_{j-1} * phi_{i+1}
+
+    Integer bands give integer entries.  Each row (column) carries its signed
+    band run times theta_{i-1} forward, so a cell costs one product with phi.
+    The matrix of cofactors is the transpose.
     """
     tp = theta_phi(t)
-    det = tp.determinant
-    if det == 0:
-        raise ValueError("matrix is singular")
+    theta, phi = tp.theta, tp.phi  # phi[j] is phi_{j+1}
+    sup, sub = t.sup, t.sub
     n = t.n
     out: list[list[Entry]] = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        out[i - 1][i - 1] = Fraction(tp.theta_at(i - 1) * tp.phi_at(i + 1)) / det
-        run: Entry = 1
-        for j in range(i + 1, n + 1):
-            run = run * t.sup[j - 2]
-            sign = -1 if (i + j) % 2 else 1
-            out[i - 1][j - 1] = Fraction(sign * run * tp.theta_at(i - 1) * tp.phi_at(j + 1)) / det
-    for j in range(1, n + 1):
-        run = 1
-        for i in range(j + 1, n + 1):
-            run = run * t.sub[i - 2]
-            sign = -1 if (i + j) % 2 else 1
-            out[i - 1][j - 1] = Fraction(sign * run * tp.theta_at(j - 1) * tp.phi_at(i + 1)) / det
+    for i in range(n):
+        out[i][i] = theta[i] * phi[i + 1]
+        upper = lower = theta[i]
+        for j in range(i + 1, n):
+            upper *= -sup[j - 1]
+            lower *= -sub[j - 1]
+            out[i][j] = upper * phi[j + 1]
+            out[j][i] = lower * phi[j + 1]
     return DenseMat(out)
+
+
+def usmani_inverse(t: Tridiag) -> DenseMat:
+    """The exact inverse of a nonsingular tridiagonal matrix: adjugate / det."""
+    det = det_continuant(t)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    return DenseMat([[Fraction(x, det) for x in row] for row in adjugate(t).rows])
 
 
 def tridiag_apply(t: Tridiag, m: DenseMat) -> DenseMat:
@@ -271,111 +277,24 @@ def tridiag_apply(t: Tridiag, m: DenseMat) -> DenseMat:
     return DenseMat(out)
 
 
-def pell_inverse_closed(k: int, n: int) -> DenseMat:
-    """Closed-form inverse of the Pell generating matrix, entrywise.
-
-    With det = P_{k,n+1}:
-
-        i <= j:  (-1)**(i+j) * k**(j-i) * P_i * P_{n-j+1} / det
-        i >  j:  P_j * P_{n-i+1} / det
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n!r}")
-    P = prefix(SeqKind.PELL, SeqParams(k), n + 2)
-    det = P[n + 1]
-    out: list[list[Entry]] = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i <= j:
-                sign = -1 if (i + j) % 2 else 1
-                num = sign * k ** (j - i) * P[i] * P[n - j + 1]
-            else:
-                num = P[j] * P[n - i + 1]
-            out[i - 1][j - 1] = Fraction(num, det)
-    return DenseMat(out)
-
-
-def gen_pell_inverse_closed(params: SeqParams, n: int) -> DenseMat:
-    """Closed-form inverse of the generalized matrix; the first row and
-    column carry the seed scale a separately.
-
-    With det = G_{k,n+1}:
-
-        1 = i < j:  (-1)**(j+1) * a * k**(j-1) * P_{n-j+1} / det
-        1 < i <= j: (-1)**(i+j) * k**(j-i) * G_i * P_{n-j+1} / det
-        i >= j = 1: P_{n-i+1} / det
-        i > j > 1:  G_j * P_{n-i+1} / det
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n!r}")
-    k, a = params.k, params.a
-    P = prefix(SeqKind.PELL, params, n + 1)
-    G = prefix(SeqKind.GEN_PELL, params, n + 2)
-    det = G[n + 1]
-    out: list[list[Entry]] = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == 1 and j > 1:
-                sign = -1 if (j + 1) % 2 else 1
-                num = sign * a * k ** (j - 1) * P[n - j + 1]
-            elif 1 < i <= j:
-                sign = -1 if (i + j) % 2 else 1
-                num = sign * k ** (j - i) * G[i] * P[n - j + 1]
-            elif j == 1:
-                num = P[n - i + 1]
-            else:
-                num = G[j] * P[n - i + 1]
-            out[i - 1][j - 1] = Fraction(num, det)
-    return DenseMat(out)
+def _cofactors(kind: SeqKind, k: int, a: int, n: int) -> DenseMat:
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"cofactor matrices need n >= 2, got {n!r}")
+    t = gen_matrix(kind, SeqParams(k, a), n)
+    # adj(T)^T = adj(T^T), and T^T swaps the two off-diagonal bands.
+    return adjugate(Tridiag(t.diag, t.sub, t.sup))
 
 
 def pell_cofactor(k: int, n: int) -> DenseMat:
-    """The matrix of cofactors of the Pell generating matrix, n >= 2.
-
-        i >= j:  (-1)**(i+j) * k**(i-j) * P_j * P_{n-i+1}
-        i <  j:  P_i * P_{n-j+1}
-    """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"cofactor matrices need n >= 2, got {n!r}")
-    P = prefix(SeqKind.PELL, SeqParams(k), n + 1)
-    out: list[list[Entry]] = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i >= j:
-                sign = -1 if (i + j) % 2 else 1
-                out[i - 1][j - 1] = sign * k ** (i - j) * P[j] * P[n - i + 1]
-            else:
-                out[i - 1][j - 1] = P[i] * P[n - j + 1]
-    return DenseMat(out)
+    """The matrix of cofactors of the Pell generating matrix, n >= 2: the
+    transposed adjugate."""
+    return _cofactors(SeqKind.PELL, k, 1, n)
 
 
 def gen_pell_cofactor(params: SeqParams, n: int) -> DenseMat:
-    """The matrix of cofactors of the generalized matrix, n >= 2.
-
-        i > j = 1:  (-1)**(i+1) * a * k**(i-1) * P_{n-i+1}
-        i >= j > 1: (-1)**(i+j) * k**(i-j) * G_j * P_{n-i+1}
-        1 = i <= j: P_{n-j+1}
-        1 < i < j:  G_i * P_{n-j+1}
-    """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"cofactor matrices need n >= 2, got {n!r}")
-    k, a = params.k, params.a
-    P = prefix(SeqKind.PELL, params, n + 1)
-    G = prefix(SeqKind.GEN_PELL, params, n + 1)
-    out: list[list[Entry]] = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i > 1 and j == 1:
-                sign = -1 if (i + 1) % 2 else 1
-                out[i - 1][j - 1] = sign * a * k ** (i - 1) * P[n - i + 1]
-            elif i >= j and j > 1:
-                sign = -1 if (i + j) % 2 else 1
-                out[i - 1][j - 1] = sign * k ** (i - j) * G[j] * P[n - i + 1]
-            elif i == 1:
-                out[i - 1][j - 1] = P[n - j + 1]
-            else:
-                out[i - 1][j - 1] = G[i] * P[n - j + 1]
-    return DenseMat(out)
+    """The matrix of cofactors of the generalized matrix, n >= 2: the
+    transposed adjugate."""
+    return _cofactors(SeqKind.GEN_PELL, params.k, params.a, n)
 
 
 def bareiss_det(m: DenseMat) -> int:

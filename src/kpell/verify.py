@@ -14,6 +14,7 @@ name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .closed_forms import eigen_product
@@ -31,10 +32,11 @@ class CheckResult:
     inputs: Mapping[str, object]
     lhs: object
     rhs: object
+    residual_is_zero: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def residual_is_zero(self) -> bool:
-        return self.lhs == self.rhs
+    def __post_init__(self) -> None:
+        # decided once here, however often a report reads it
+        object.__setattr__(self, "residual_is_zero", self.lhs == self.rhs)
 
     def to_dict(self) -> dict:
         return {
@@ -345,17 +347,17 @@ class SuiteReport:
 
     @property
     def passed(self) -> int:
-        return sum(1 for r in self.results if r.residual_is_zero)
+        return len(self.results) - self.failed
 
     @property
     def failed(self) -> int:
-        return len(self.results) - self.passed
+        return len(self.failures)
 
     @property
     def all_passed(self) -> bool:
         return self.failed == 0
 
-    @property
+    @cached_property
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(r for r in self.results if not r.residual_is_zero)
 

@@ -24,17 +24,17 @@ from kpell.sequences import (
 )
 from kpell.tridiagonal import (
     DenseMat,
+    adjugate,
     bareiss_det,
     det_continuant,
     gen_matrix,
     gen_pell_cofactor,
-    gen_pell_inverse_closed,
     pell_cofactor,
-    pell_inverse_closed,
     tridiag_apply,
     usmani_inverse,
 )
 from kpell.verify import SweepGrid, check_docagne, run_suite
+from test_tridiagonal import paper_gen_cofactor, paper_pell_cofactor
 
 SEED = 20260818
 
@@ -144,6 +144,10 @@ def _signed_minors(dense):
     return DenseMat(rows)
 
 
+def _divided(rows, det):
+    return DenseMat([[Fraction(x, det) for x in row] for row in rows])
+
+
 def test_criterion_5_inverse_and_cofactor_machinery():
     with criterion("criterion-5 exact inverse/cofactor machinery", budget_s=60.0):
         for kind in SeqKind:
@@ -152,12 +156,18 @@ def test_criterion_5_inverse_and_cofactor_machinery():
                     params = SeqParams(k, a)
                     for n in range(1, 31):
                         t = gen_matrix(kind, params, n)
+                        adj, det = adjugate(t), det_continuant(t)
+                        scaled = [[det if i == j else 0 for j in range(n)] for i in range(n)]
+                        assert tridiag_apply(t, adj) == DenseMat(scaled)
                         inv = usmani_inverse(t)
-                        assert tridiag_apply(t, inv) == DenseMat.identity(n)
+                        assert inv == _divided(adj.rows, det)
                         if kind is SeqKind.PELL:
-                            assert pell_inverse_closed(k, n) == inv
+                            paper = paper_pell_cofactor(k, n)
                         elif kind is SeqKind.GEN_PELL:
-                            assert gen_pell_inverse_closed(params, n) == inv
+                            paper = paper_gen_cofactor(params, n)
+                        else:
+                            continue
+                        assert _divided(zip(*paper.rows), det) == inv
         for k in (1, 2, 3):
             for a in (1, 2):
                 params = SeqParams(k, a)

@@ -323,6 +323,36 @@ class TestMatrix:
         code, _, err = run(capsys, "matrix", "--kind", "P", "--k", "1", "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "kind, show, fmt, size, sha256",
+        [
+            ("P", "inverse", "text", 43_120, "01aaae6033a4598014337d4a54800223a247734d9e48167533c9093f596bf3b2"),
+            ("P", "inverse", "json", 52_317, "ab1d90120b1e997aae12daa21fdf7c5b75858d48f7017d84f0572e6090eca307"),
+            ("Q", "inverse", "text", 43_200, "be969eed90baf24bc492e7ef3cc2d9604db455012f8726f767a0541b1a5dbb1a"),
+            ("Q", "inverse", "json", 52_989, "f2f321a1edd9140e30608d58eb12eed63743078f56f283a48db872b345ed8e01"),
+            ("q", "inverse", "text", 43_200, "5f8e2a9961f342b109346c371f6673708648603e01cb5fb13a030ec5b42786dd"),
+            ("q", "inverse", "json", 52_978, "3f980dd05a57c9f18d2a663c9795d91f84e0fe930be97b9431d7c21abeb6ffc7"),
+            ("G", "inverse", "text", 43_200, "396c8433f35ebf7b43a727ea60e9589afc6d70a44cc36bd11c38043b5051390f"),
+            ("G", "inverse", "json", 52_983, "2e2ae6f1fb54969c3ecc799d3518b6e50e8b1eeb09263928f8f20aa2faaeacb4"),
+            ("P", "cofactor", "text", 31_920, "af42605b72217a919d7592ae01067c11edf7383c90c7022b51a4e58504408fc5"),
+            ("P", "cofactor", "json", 38_544, "ed21290145af804c3857584b16a0094667f4db3d183455e8e8123dfb6866b023"),
+            ("G", "cofactor", "text", 33_520, "f5382b83b90fb4a9f58fdd24223f3ea326bfe9fd3fa53f1f04e8ad91af41eb7e"),
+            ("G", "cofactor", "json", 39_658, "1ca76911773f076dbf3c5573de0af2c6d6ab845b4f934c47fcec82f289caae7e"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, kind, show, fmt, size, sha256):
+        # stdout of the theta/phi Fraction inverse and the paper's cofactor formulas
+        a = ("--a", "3") if kind == "G" else ()
+        code, out, _ = run(
+            capsys,
+            "matrix", "--kind", kind, "--k", "2", *a, "--n", "40", "--show", show,
+            "--format", fmt,
+        )
+        assert code == 0
+        data = out.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
+
 
 class TestEigen:
     def test_corrected_matches(self, capsys):

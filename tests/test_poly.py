@@ -48,11 +48,6 @@ def test_evaluate_matches_power_sum(cs, x):
     assert KPoly(cs).evaluate(x) == sum(c * x**i for i, c in enumerate(cs))
 
 
-@given(coeff_lists, coeff_lists, st.integers(min_value=-10, max_value=10))
-def test_mul_evaluates_pointwise(us, vs, x):
-    assert (KPoly(us) * KPoly(vs)).evaluate(x) == KPoly(us).evaluate(x) * KPoly(vs).evaluate(x)
-
-
 class TestRendering:
     def test_plain_forms(self):
         assert poly_str(KPoly()) == "0"

@@ -9,14 +9,13 @@ from kpell.sequences import SeqKind, SeqParams, prefix, term
 from kpell.tridiagonal import (
     DenseMat,
     Tridiag,
+    adjugate,
     bareiss_det,
     det_continuant,
     entry_strings,
     gen_matrix,
     gen_pell_cofactor,
-    gen_pell_inverse_closed,
     pell_cofactor,
-    pell_inverse_closed,
     render_grid,
     theta_phi,
     tridiag_apply,
@@ -84,6 +83,66 @@ def minor_cofactors(dense):
             row.append(sign * bareiss_det(DenseMat(sub)))
         out.append(row)
     return DenseMat(out)
+
+
+def transpose(dense):
+    return DenseMat(zip(*dense.rows))
+
+
+def paper_pell_cofactor(k, n):
+    """The paper's entrywise matrix of cofactors of the Pell generating matrix.
+
+        i >= j:  (-1)**(i+j) * k**(i-j) * P_j * P_{n-i+1}
+        i <  j:  P_i * P_{n-j+1}
+    """
+    P = prefix(SeqKind.PELL, SeqParams(k), n + 1)
+    out = [[0] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i >= j:
+                sign = -1 if (i + j) % 2 else 1
+                out[i - 1][j - 1] = sign * k ** (i - j) * P[j] * P[n - i + 1]
+            else:
+                out[i - 1][j - 1] = P[i] * P[n - j + 1]
+    return DenseMat(out)
+
+
+def paper_gen_cofactor(params, n):
+    """The paper's entrywise matrix of cofactors of the generalized matrix.
+
+        i > j = 1:  (-1)**(i+1) * a * k**(i-1) * P_{n-i+1}
+        i >= j > 1: (-1)**(i+j) * k**(i-j) * G_j * P_{n-i+1}
+        1 = i <= j: P_{n-j+1}
+        1 < i < j:  G_i * P_{n-j+1}
+    """
+    k, a = params.k, params.a
+    P = prefix(SeqKind.PELL, params, n + 1)
+    G = prefix(SeqKind.GEN_PELL, params, n + 1)
+    out = [[0] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i > 1 and j == 1:
+                sign = -1 if (i + 1) % 2 else 1
+                out[i - 1][j - 1] = sign * a * k ** (i - 1) * P[n - i + 1]
+            elif i >= j and j > 1:
+                sign = -1 if (i + j) % 2 else 1
+                out[i - 1][j - 1] = sign * k ** (i - j) * G[j] * P[n - i + 1]
+            elif i == 1:
+                out[i - 1][j - 1] = P[n - j + 1]
+            else:
+                out[i - 1][j - 1] = G[i] * P[n - j + 1]
+    return DenseMat(out)
+
+
+@st.composite
+def tridiags(draw, min_n=1, max_n=6):
+    """Tridiagonal matrices with small integer bands, singular ones included."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    small = st.integers(min_value=-9, max_value=9)
+    diag = draw(st.lists(small, min_size=n, max_size=n))
+    sup = draw(st.lists(small, min_size=n - 1, max_size=n - 1))
+    sub = draw(st.lists(small, min_size=n - 1, max_size=n - 1))
+    return Tridiag(diag, sup, sub)
 
 
 class TestStructures:
@@ -192,6 +251,13 @@ class TestUsmaniInverse:
             (Fraction(1, 5), Fraction(2, 5)),
         )
 
+    def test_frozen_gen_2x2(self):
+        inv = usmani_inverse(gen_matrix(SeqKind.GEN_PELL, SeqParams(1, 1), 2))
+        assert inv.rows == (
+            (Fraction(2, 7), Fraction(-1, 7)),
+            (Fraction(1, 7), Fraction(3, 7)),
+        )
+
     def test_one_by_one(self):
         inv = usmani_inverse(gen_matrix(SeqKind.GEN_PELL, SeqParams(3, 2), 1))
         assert inv.rows == ((Fraction(1, 10),),)
@@ -222,34 +288,40 @@ class TestUsmaniInverse:
 
 
 class TestClosedFormInverses:
-    def test_frozen_entries(self):
-        assert pell_inverse_closed(1, 2).rows == (
-            (Fraction(2, 5), Fraction(-1, 5)),
-            (Fraction(1, 5), Fraction(2, 5)),
-        )
-        assert gen_pell_inverse_closed(SeqParams(1, 1), 2).rows == (
-            (Fraction(2, 7), Fraction(-1, 7)),
-            (Fraction(1, 7), Fraction(3, 7)),
-        )
-
     def test_one_by_one_is_reciprocal_first_term(self):
-        assert pell_inverse_closed(4, 1).rows == ((Fraction(1, 2),),)
-        assert gen_pell_inverse_closed(SeqParams(2, 3), 1).rows == ((Fraction(1, 12),),)
+        # the paper's D^T / det at order 1: an empty cofactor gives 1, and the
+        # determinant of the 1x1 generating matrix is the second term
+        for kind, params, expected in (
+            (SeqKind.PELL, SeqParams(4), Fraction(1, 2)),
+            (SeqKind.GEN_PELL, SeqParams(2, 3), Fraction(1, 12)),
+        ):
+            assert Fraction(1, term(kind, params, 2)) == expected
+            assert usmani_inverse(gen_matrix(kind, params, 1)).rows == ((expected,),)
 
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=12))
-    def test_pell_closed_equals_usmani(self, k, n):
-        t = gen_matrix(SeqKind.PELL, SeqParams(k), n)
-        assert pell_inverse_closed(k, n) == usmani_inverse(t)
 
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=1, max_value=4),
-        st.integers(min_value=1, max_value=12),
-    )
-    def test_gen_closed_equals_usmani(self, k, a, n):
-        params = SeqParams(k, a)
-        t = gen_matrix(SeqKind.GEN_PELL, params, n)
-        assert gen_pell_inverse_closed(params, n) == usmani_inverse(t)
+class TestAdjugate:
+    def test_frozen_entries(self):
+        assert adjugate(Tridiag((7,))).rows == ((1,),)
+        assert adjugate(Tridiag((5, 6), (2,), (3,))).rows == ((6, -2), (-3, 5))
+        assert adjugate(Tridiag((Fraction(1, 2), 3), (1,), (2,))).rows == (
+            (3, -1),
+            (-2, Fraction(1, 2)),
+        )
+
+    @given(tridiags(min_n=2))
+    def test_is_transposed_signed_minors(self, t):
+        assert adjugate(t) == transpose(minor_cofactors(t.to_dense()))
+
+    @given(tridiags())
+    def test_product_is_det_times_identity(self, t):
+        det = det_continuant(t)
+        scaled = DenseMat([[det if i == j else 0 for j in range(t.n)] for i in range(t.n)])
+        assert tridiag_apply(t, adjugate(t)) == scaled
+
+    def test_integer_bands_give_integer_entries(self):
+        for kind in ALL_KINDS:
+            adj = adjugate(gen_matrix(kind, SeqParams(3, 2), 9))
+            assert all(type(x) is int for row in adj.rows for x in row)
 
 
 class TestCofactorMatrices:
@@ -275,6 +347,25 @@ class TestCofactorMatrices:
             pell_cofactor(1, 1)
         with pytest.raises(ValueError):
             gen_pell_cofactor(SeqParams(1, 1), 1)
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=12))
+    def test_pell_paper_formula_is_adjugate_transpose(self, k, n):
+        paper = paper_pell_cofactor(k, n)
+        assert paper == transpose(adjugate(gen_matrix(SeqKind.PELL, SeqParams(k), n)))
+        if n >= 2:
+            assert pell_cofactor(k, n) == paper
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=12),
+    )
+    def test_gen_paper_formula_is_adjugate_transpose(self, k, a, n):
+        params = SeqParams(k, a)
+        paper = paper_gen_cofactor(params, n)
+        assert paper == transpose(adjugate(gen_matrix(SeqKind.GEN_PELL, params, n)))
+        if n >= 2:
+            assert gen_pell_cofactor(params, n) == paper
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_equal_signed_minors(self, k):
@@ -329,7 +420,7 @@ class TestBareiss:
 
 
 def test_entry_strings_and_grid():
-    inv = pell_inverse_closed(1, 2)
+    inv = usmani_inverse(gen_matrix(SeqKind.PELL, SeqParams(1), 2))
     cells = entry_strings(inv)
     assert cells == [["2/5", "-1/5"], ["1/5", "2/5"]]
     assert render_grid(cells) == "2/5  -1/5\n1/5   2/5"

@@ -11,6 +11,8 @@ from kpell.sequences import SeqKind, SeqParams, prefix, term
 from kpell.verify import (
     EXACT_IDENTITIES,
     FLOAT_IDENTITIES,
+    CheckResult,
+    SuiteReport,
     SweepGrid,
     check_cassini,
     check_catalan,
@@ -252,6 +254,26 @@ class TestSuite:
         d = report.to_dict()
         assert d["summary"] == {"pass": report.passed, "fail": 0}
         assert all(row["identity_name"] == "convolution1" for row in d["results"])
+
+    def test_verdict_is_decided_once_per_result(self):
+        class Counted:
+            def __init__(self, value):
+                self.value, self.calls = value, 0
+
+            def __eq__(self, other):
+                self.calls += 1
+                return self.value == other
+
+        sides = [Counted(1), Counted(2), Counted(3)]
+        report = SuiteReport(
+            tuple(CheckResult("x", {"n": n}, side, 1) for n, side in enumerate(sides))
+        )
+        for _ in range(2):
+            assert (report.passed, report.failed, report.all_passed) == (1, 2, False)
+            assert [r.inputs["n"] for r in report.failures] == [1, 2]
+            assert report.per_identity() == {"x": (1, 2)}
+            assert report.to_dict()["summary"] == {"pass": 1, "fail": 2}
+        assert [side.calls for side in sides] == [1, 1, 1]
 
 
 def _reference_sweep(identity, grid):
