@@ -3,62 +3,86 @@
 Sequences satisfying x_n = 2*x_{n-1} + k*x_{n-2}, their closed forms over
 Q(sqrt(1+k)), binomial-sum evaluations, tridiagonal generating matrices with
 exact determinants/inverses/cofactors, and an executable identity suite.
+
+The package is lazy (PEP 562): ``import kpell`` loads no submodule, and each
+name below loads its defining module on first use, so that a CLI process
+imports only what its subcommand runs.
 """
 
-from .closed_forms import (
-    EigenReport,
-    binom,
-    eigen_product,
-    eigenvalues,
-    gen_double_sum,
-    pell_binomial,
-    symbolic_term,
-)
-from .poly import KPoly, poly_str
-from .quadratic import QuadNum, quad_roots
-from .sequences import (
-    DEFAULT_GUARD_N,
-    ExactnessError,
-    SeqKind,
-    SeqParams,
-    gen_binet,
-    gen_from_lucas,
-    gen_from_pell,
-    initial_pair,
-    pell_binet,
-    pell_fast,
-    prefix,
-    term,
-    term_stream,
-)
-from .tridiagonal import (
-    DenseMat,
-    ThetaPhi,
-    Tridiag,
-    adjugate,
-    bareiss_det,
-    det_continuant,
-    gen_matrix,
-    gen_pell_cofactor,
-    pell_cofactor,
-    theta_phi,
-    tridiag_apply,
-    usmani_inverse,
-)
-from .verify import (
-    CheckResult,
-    SuiteReport,
-    SweepGrid,
-    check_cassini,
-    check_catalan,
-    check_cofactor_dets,
-    check_convolution1,
-    check_convolution2,
-    check_docagne,
-    check_eigen,
-    check_partition,
-    check_squares,
-    run_suite,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "closed_forms": (
+        "EigenReport",
+        "binom",
+        "eigen_product",
+        "eigenvalues",
+        "gen_double_sum",
+        "pell_binomial",
+        "symbolic_term",
+    ),
+    "poly": ("KPoly", "poly_str"),
+    "quadratic": ("QuadNum", "quad_roots"),
+    "sequences": (
+        "DEFAULT_GUARD_N",
+        "ExactnessError",
+        "SeqKind",
+        "SeqParams",
+        "gen_binet",
+        "gen_from_lucas",
+        "gen_from_pell",
+        "initial_pair",
+        "pell_binet",
+        "pell_fast",
+        "prefix",
+        "term",
+        "term_stream",
+    ),
+    "tridiagonal": (
+        "DenseMat",
+        "ThetaPhi",
+        "Tridiag",
+        "adjugate",
+        "bareiss_det",
+        "det_continuant",
+        "gen_matrix",
+        "gen_pell_cofactor",
+        "pell_cofactor",
+        "theta_phi",
+        "tridiag_apply",
+        "usmani_inverse",
+    ),
+    "verify": (
+        "CheckResult",
+        "SuiteReport",
+        "SweepGrid",
+        "check_cassini",
+        "check_catalan",
+        "check_cofactor_dets",
+        "check_convolution1",
+        "check_convolution2",
+        "check_docagne",
+        "check_eigen",
+        "check_partition",
+        "check_squares",
+        "run_suite",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

@@ -14,15 +14,12 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from decimal import Decimal, localcontext
 from typing import Sequence
 
-from .closed_forms import eigen_product, gen_double_sum, pell_binomial, symbolic_term
 from .digits import EXACT, to_str
-from .poly import poly_str
 from .sequences import (
     ExactnessError,
     SeqKind,
@@ -34,16 +31,9 @@ from .sequences import (
     recurrence_guard,
     term,
 )
-from .tridiagonal import (
-    entry_strings,
-    gen_matrix,
-    gen_pell_cofactor,
-    pell_cofactor,
-    render_grid,
-    theta_phi,
-    usmani_inverse,
-)
-from .verify import SweepGrid, expand_selection, run_suite
+
+# Every subcommand needs the modules above; the others are imported in the
+# subcommand, or the option, that runs them, so a process loads only those.
 
 KINDS = {
     "P": SeqKind.PELL,
@@ -61,7 +51,11 @@ def _fail_usage(message: str) -> int:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    import json
+
+    from .jsonout import IndentEncoder
+
+    print(json.dumps(payload, indent=2, cls=IndentEncoder))
 
 
 def _parse_params(args: argparse.Namespace, kind: SeqKind) -> SeqParams:
@@ -80,6 +74,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
             return _fail_usage("--symbolic excludes --k/--a")
         if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
             return _fail_usage("symbolic tables exist for kinds P and G only")
+        from .closed_forms import symbolic_term
+        from .poly import poly_str
+
         suffix = "a" if kind is SeqKind.GEN_PELL else ""
         values = [
             poly_str(symbolic_term(kind, n), "k", suffix) for n in range(args.n_max + 1)
@@ -124,12 +121,16 @@ def _eval_dispatch(kind: SeqKind, params: SeqParams, n: int, method: str) -> int
             raise ValueError("--method binomial applies to kind P only")
         if n < 3:
             raise ValueError("--method binomial is defined for n >= 3")
+        from .closed_forms import pell_binomial
+
         return pell_binomial(params.k, n - 1)
     if method == "double-sum":
         if kind is not SeqKind.GEN_PELL:
             raise ValueError("--method double-sum applies to kind G only")
         if n < 2:
             raise ValueError("--method double-sum is defined for n >= 2")
+        from .closed_forms import gen_double_sum
+
         return gen_double_sum(params, n - 1)
     raise ValueError(f"unknown method {method!r}")
 
@@ -167,6 +168,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import SweepGrid, expand_selection, run_suite
+
     names = tuple(part.strip() for part in args.identities.split(",") if part.strip())
     if not names:
         return _fail_usage("--identities must name at least one identity")
@@ -190,6 +193,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
+    from .tridiagonal import (
+        entry_strings,
+        gen_matrix,
+        gen_pell_cofactor,
+        pell_cofactor,
+        render_grid,
+        theta_phi,
+        usmani_inverse,
+    )
+
     kind = KINDS[args.kind]
     if args.n < 1:
         return _fail_usage("--n must be >= 1")
@@ -236,6 +249,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 def _cmd_eigen(args: argparse.Namespace) -> int:
     if args.n < 1 or args.k < 1:
         return _fail_usage("--k and --n must be >= 1")
+    from .closed_forms import eigen_product
+
     try:
         report = eigen_product(args.k, args.n, args.paper_verbatim)
     except ValueError as exc:

@@ -9,7 +9,7 @@ complex eigenvalues, kept for numerical cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .poly import KPoly
 from .sequences import SeqKind, SeqParams, _check_index, term
@@ -92,17 +92,12 @@ def symbolic_term(kind: SeqKind, n: int) -> KPoly:
     return prev
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(
+    namedtuple("EigenReport", "k n product rounded exact abs_residual paper_verbatim")
+):
     """Outcome of the eigenvalue-product determinant cross-check."""
 
-    k: int
-    n: int
-    product: complex
-    rounded: int
-    exact: int
-    abs_residual: float
-    paper_verbatim: bool
+    __slots__ = ()
 
     @property
     def matches(self) -> bool:

@@ -12,25 +12,23 @@ and differ only in their first two terms:
     G (generalized):    a, a        (a >= 1; a = 1 gives q)
 
 Beyond the plain recurrence this module provides root-power (Binet-style)
-evaluation in Q(sqrt(1+k)), inter-sequence conversions and an O(log n)
-doubling evaluator for P, run on int or, for huge terms, on exact Decimal.
-Every route is exact; a route that would silently leave the integers raises
-ExactnessError instead.
+evaluation on integer pairs in Z[sqrt(1+k)], inter-sequence conversions and
+an O(log n) doubling evaluator for P, run on int or, for huge terms, on exact
+Decimal.  Every route is exact; a route that would silently leave the integers
+raises ExactnessError instead.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from enum import Enum, unique
-from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
 from .digits import DECIMAL_MIN_DIGITS, EXACT
-from .quadratic import QuadNum, quad_roots
 
 DEFAULT_GUARD_N = 10_000_000
 GUARD_ENV_VAR = "KPELL_GUARD_N"
@@ -50,21 +48,20 @@ class SeqKind(Enum):
     GEN_PELL = "G"
 
 
-@dataclass(frozen=True)
-class SeqParams:
+class SeqParams(namedtuple("SeqParams", "k a")):
     """Sequence parameters: the recurrence weight k and the seed scale a.
 
     ``a`` only matters for ``SeqKind.GEN_PELL``; the other kinds ignore it.
     """
 
-    k: int
-    a: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not isinstance(self.a, int) or self.a < 1:
-            raise ValueError(f"a must be a positive integer, got {self.a!r}")
+    def __new__(cls, k: int, a: int = 1) -> SeqParams:
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"k must be a positive integer, got {k!r}")
+        if not isinstance(a, int) or a < 1:
+            raise ValueError(f"a must be a positive integer, got {a!r}")
+        return super().__new__(cls, k, a)
 
 
 def initial_pair(kind: SeqKind, params: SeqParams) -> tuple[int, int]:
@@ -144,29 +141,37 @@ def prefix(kind: SeqKind, params: SeqParams, count: int) -> list[int]:
     return list(islice(term_stream(kind, params), count))
 
 
-def _as_int(value: QuadNum, route: str) -> int:
-    if value.root_coeff or value.rational_part.denominator != 1:
-        raise ExactnessError(f"{route} produced the non-integer {value}")
-    return int(value.rational_part)
+def _root_power(d: int, e: int) -> tuple[int, int]:
+    """(x, y) with (1 + sqrt(d))**e = x + y*sqrt(d), by square-and-multiply in Z[sqrt(d)].
+
+    The bits of e are read from the most significant down, so each step
+    squares the pair and a set bit multiplies it by 1 + sqrt(d), which takes
+    additions only.
+    """
+    x, y = 1, 0
+    for shift in range(e.bit_length() - 1, -1, -1):
+        x, y = x * x + d * y * y, 2 * x * y
+        if (e >> shift) & 1:
+            x, y = x + d * y, x + y
+    return x, y
 
 
 def pell_binet(k: int, n: int) -> int:
-    """P by root powers: (r1**n - r2**n) / (r1 - r2), exactly in Q(sqrt(1+k)).
+    """P by root powers: (r1**n - r2**n) / (r1 - r2), in integers.
 
-    Works uniformly whether 1+k is a perfect square or not; the root
-    difference is nonzero in both cases.
+    With d = 1+k, r1**n = x + y*sqrt(d) and r2**n = x - y*sqrt(d), so the
+    quotient is y.  This holds for a perfect-square d too: the pair is then
+    evaluated at the integer sqrt(d), which is nonzero.
     """
     _check_index(n)
-    r1, r2 = quad_roots(k)
-    return _as_int((r1**n - r2**n) / (r1 - r2), "pell_binet")
+    _check_k(k)
+    return _root_power(1 + k, n)[1]
 
 
 def gen_binet(params: SeqParams, n: int) -> int:
-    """G by root powers: a * (r1**n + r2**n) / 2."""
+    """G by root powers: a * (r1**n + r2**n) / 2, in integers: a*x, as for pell_binet."""
     _check_index(n)
-    r1, r2 = quad_roots(params.k)
-    value = (r1**n + r2**n) * Fraction(params.a, 2)
-    return _as_int(value, "gen_binet")
+    return params.a * _root_power(1 + params.k, n)[0]
 
 
 def gen_from_lucas(params: SeqParams, n: int) -> int:

@@ -11,7 +11,7 @@ determinants of arbitrary dense matrices by fraction-free elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -76,7 +76,7 @@ class Tridiag:
 
     def to_dense(self) -> "DenseMat":
         n = self.n
-        return DenseMat(
+        return DenseMat._of_checked(
             [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
         )
 
@@ -106,10 +106,21 @@ class DenseMat:
         self._rows = rs
 
     @classmethod
+    def _of_checked(cls, rows: Iterable[Iterable[Entry]]) -> "DenseMat":
+        """A matrix of square rows whose entries are already known to be exact.
+
+        For matrices this module computes from checked entries: it skips
+        the per-entry check of the public constructor.
+        """
+        m = object.__new__(cls)
+        m._rows = tuple(map(tuple, rows))
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "DenseMat":
         if n < 1:
             raise ValueError(f"order must be >= 1, got {n}")
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of_checked([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def n(self) -> int:
@@ -131,7 +142,7 @@ class DenseMat:
         if self.n != other.n:
             raise ValueError(f"order mismatch: {self.n} vs {other.n}")
         cols = list(zip(*other._rows))
-        return DenseMat(
+        return DenseMat._of_checked(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
         )
 
@@ -147,8 +158,7 @@ class DenseMat:
         return f"DenseMat({[list(r) for r in self._rows]!r})"
 
 
-@dataclass(frozen=True)
-class ThetaPhi:
+class ThetaPhi(namedtuple("ThetaPhi", "theta phi")):
     """Leading and trailing continuants of a tridiagonal matrix.
 
     theta[i] is the determinant of the leading i x i principal minor
@@ -156,8 +166,7 @@ class ThetaPhi:
     the trailing minor on rows/columns j..n (phi_at(n+1) = 1).
     """
 
-    theta: tuple[Entry, ...]
-    phi: tuple[Entry, ...]
+    __slots__ = ()
 
     def theta_at(self, i: int) -> Entry:
         if not 0 <= i < len(self.theta):
@@ -247,7 +256,7 @@ def adjugate(t: Tridiag) -> DenseMat:
             lower *= -sub[j - 1]
             out[i][j] = upper * phi[j + 1]
             out[j][i] = lower * phi[j + 1]
-    return DenseMat(out)
+    return DenseMat._of_checked(out)
 
 
 def usmani_inverse(t: Tridiag) -> DenseMat:
@@ -255,7 +264,7 @@ def usmani_inverse(t: Tridiag) -> DenseMat:
     det = det_continuant(t)
     if det == 0:
         raise ValueError("matrix is singular")
-    return DenseMat([[Fraction(x, det) for x in row] for row in adjugate(t).rows])
+    return DenseMat._of_checked([[Fraction(x, det) for x in row] for row in adjugate(t).rows])
 
 
 def tridiag_apply(t: Tridiag, m: DenseMat) -> DenseMat:
@@ -274,7 +283,7 @@ def tridiag_apply(t: Tridiag, m: DenseMat) -> DenseMat:
             b = t.sup[i]
             acc = [s + b * x for s, x in zip(acc, rows[i + 1])]
         out.append(acc)
-    return DenseMat(out)
+    return DenseMat._of_checked(out)
 
 
 def _cofactors(kind: SeqKind, k: int, a: int, n: int) -> DenseMat:

@@ -13,30 +13,36 @@ name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .closed_forms import eigen_product
 from .digits import to_str
 from .quadratic import QuadNum
-from .sequences import SeqKind, SeqParams, guard_index, prefix, term
-from .tridiagonal import bareiss_det, gen_pell_cofactor, pell_cofactor
+from .sequences import SeqKind, SeqParams, _root_power, guard_index, prefix, term
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """One identity evaluated at one parameter tuple, both sides exact."""
+class CheckResult(namedtuple("CheckResult", "identity_name inputs lhs rhs residual_is_zero")):
+    """One identity evaluated at one parameter tuple, both sides exact.
 
-    identity_name: str
-    inputs: Mapping[str, object]
-    lhs: object
-    rhs: object
-    residual_is_zero: bool = field(init=False, repr=False, compare=False)
+    ``residual_is_zero`` is not an argument: it is decided once, at
+    construction, however often a report reads it.
+    """
 
-    def __post_init__(self) -> None:
-        # decided once here, however often a report reads it
-        object.__setattr__(self, "residual_is_zero", self.lhs == self.rhs)
+    __slots__ = ()
+
+    def __new__(
+        cls, identity_name: str, inputs: Mapping[str, object], lhs: object, rhs: object
+    ) -> CheckResult:
+        return tuple.__new__(cls, (identity_name, inputs, lhs, rhs, lhs == rhs))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckResult(identity_name={self.identity_name!r}, inputs={self.inputs!r}, "
+            f"lhs={self.lhs!r}, rhs={self.rhs!r})"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -46,17 +52,6 @@ class CheckResult:
             "rhs": to_str(self.rhs),
             "residual_is_zero": self.residual_is_zero,
         }
-
-
-def _root_power(d: int, e: int) -> tuple[int, int]:
-    """(x, y) with (1 + sqrt(d))**e = x + y*sqrt(d), by square-and-multiply in Z[sqrt(d)]."""
-    x, y, bx, by = 1, 0, 1, 1
-    while e:
-        if e & 1:
-            x, y = x * bx + d * y * by, x * by + y * bx
-        bx, by = bx * bx + d * by * by, 2 * bx * by
-        e >>= 1
-    return x, y
 
 
 class _Walk:
@@ -143,6 +138,8 @@ def _cofactor_det(
     G: _Terms, P: _Terms, params: SeqParams, n: int, matrix: str
 ) -> CheckResult:
     """|C_n| = P_{n+1}**(n-1) for matrix "C", |D_n| = G_{n+1}**(n-1) for "D"."""
+    from .tridiagonal import bareiss_det, gen_pell_cofactor, pell_cofactor
+
     a, k = params.a, params.k
     if matrix == "C":
         inputs = {"matrix": "C", "k": k, "n": n}
@@ -155,6 +152,8 @@ def _cofactor_det(
 
 def check_eigen(k: int, n: int, paper_verbatim: bool = False) -> CheckResult:
     """Rounded eigenvalue product against the exact term (floating point)."""
+    from .closed_forms import eigen_product
+
     report = eigen_product(k, n, paper_verbatim)
     name = "eigen-verbatim" if paper_verbatim else "eigen"
     inputs = {
@@ -305,19 +304,16 @@ def check_cofactor_dets(params: SeqParams, n: int) -> tuple[CheckResult, CheckRe
     return _cofactor_det(G, P, params, n, "C"), _cofactor_det(G, P, params, n, "D")
 
 
-@dataclass(frozen=True)
-class SweepGrid:
+class SweepGrid(namedtuple("SweepGrid", "k_max a_max n_max")):
     """Inclusive upper bounds for the sweep parameters."""
 
-    k_max: int = 5
-    a_max: int = 3
-    n_max: int = 30
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("k_max", "a_max", "n_max"):
-            value = getattr(self, name)
+    def __new__(cls, k_max: int = 5, a_max: int = 3, n_max: int = 30) -> SweepGrid:
+        for name, value in zip(cls._fields, (k_max, a_max, n_max)):
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
+        return super().__new__(cls, k_max, a_max, n_max)
 
 
 def _sweep_one(
@@ -339,11 +335,23 @@ def _sweep_one(
                 yield entry.body(*seqs, params, *index)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    """All results of one sweep, in deterministic grid order."""
+class SuiteReport(namedtuple("SuiteReport", "results failures")):
+    """All results of one sweep, in deterministic grid order.
 
-    results: tuple[CheckResult, ...] = field(default_factory=tuple)
+    ``failures`` is not an argument: it is collected once, at construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, results: tuple[CheckResult, ...] = ()) -> SuiteReport:
+        failures = tuple(r for r in results if not r.residual_is_zero)
+        return tuple.__new__(cls, (results, failures))
+
+    def __getnewargs__(self) -> tuple:
+        return (self.results,)
+
+    def __repr__(self) -> str:
+        return f"SuiteReport(results={self.results!r})"
 
     @property
     def passed(self) -> int:
@@ -356,10 +364,6 @@ class SuiteReport:
     @property
     def all_passed(self) -> bool:
         return self.failed == 0
-
-    @cached_property
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(r for r in self.results if not r.residual_is_zero)
 
     def per_identity(self) -> dict[str, tuple[int, int]]:
         """Mapping identity name -> (pass count, fail count), in result order."""

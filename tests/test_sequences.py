@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpell.digits import DECIMAL_MIN_DIGITS, EXACT
+from kpell.quadratic import QuadNum
 from kpell.sequences import (
     DEFAULT_GUARD_N,
     SeqKind,
@@ -21,6 +22,7 @@ from kpell.sequences import (
     pell_fast_term,
     prefix,
     recurrence_guard,
+    _root_power,
     term,
     term_stream,
 )
@@ -121,6 +123,29 @@ class TestBinet:
         params = SeqParams(k, a)
         assert pell_binet(k, n) == term(SeqKind.PELL, params, n)
         assert gen_binet(params, n) == term(SeqKind.GEN_PELL, params, n)
+
+    def test_root_power(self):
+        for d in (2, 3, 4, 6, 9, 16):
+            r1 = QuadNum(1, 1, d)
+            for e in range(30):
+                x, y = _root_power(d, e)
+                assert QuadNum(x, y, d) == r1**e
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 15])  # 1+k = 4, 9, 16 are squares
+    def test_large_index_matches_doubling(self, k):
+        n = 5000
+        p_prev, p_cur = pell_fast(k, n - 1)
+        assert pell_binet(k, n) == p_cur
+        # G_n = a*P_n + a*k*P_{n-1}
+        assert gen_binet(SeqParams(k, 3), n) == 3 * (p_cur + k * p_prev)
+
+    def test_rejects_bad_args(self):
+        with pytest.raises(ValueError):
+            pell_binet(0, 5)
+        with pytest.raises(ValueError):
+            pell_binet(1, -1)
+        with pytest.raises(ValueError):
+            gen_binet(SeqParams(2), -1)
 
 
 class TestConversions:

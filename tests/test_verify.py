@@ -373,13 +373,6 @@ class TestSharedPrefixes:
 
 
 class TestIntegerDocagne:
-    def test_root_power(self):
-        for d in (2, 3, 4, 6, 9, 16):
-            r1 = QuadNum(1, 1, d)
-            for e in range(30):
-                x, y = verify._root_power(d, e)
-                assert QuadNum(x, y, d) == r1**e
-
     def test_matches_the_quadnum_formula(self):
         for k in (1, 2, 3, 5, 8, 15):
             d = 1 + k
