@@ -12,14 +12,15 @@ import math
 from collections import namedtuple
 
 from .poly import KPoly
-from .sequences import SeqKind, SeqParams, _check_index, term
+from .sequences import SeqKind, SeqParams, _check_index, guard_index, term
 
 
 def binom(n: int, r: int) -> int:
     """Binomial coefficient extended by zero outside 0 <= r <= n.
 
     Negative arguments simply give 0 (so e.g. binom(-1, 0) == 0), which is
-    the convention the sums below rely on at their index edges.
+    the convention the sums below are stated in; their evaluation starts
+    past the zero terms instead of forming them.
     """
     if r < 0 or n < 0 or r > n:
         return 0
@@ -30,15 +31,24 @@ def pell_binomial(k: int, n: int) -> int:
     """The sum over i of binom(n-i, i) * k**i * 2**(n-2i), equal to P_{k,n+1}.
 
     Defined for n >= 2; smaller n have degenerate sums that miss the
-    sequence values.
+    sequence values.  The terms are hypergeometric: from t_0 = 2**n,
+
+        t_{i+1} = t_i * k*(n-2i)*(n-2i-1) / (4*(i+1)*(n-i)),
+
+    for i < n//2.  Every t_{i+1} is an integer, so the floor division is
+    exact, and each step is one big-by-small product and one division by a
+    small integer: O(n) steps of O(digits) work each.  Guarded by
+    KPELL_GUARD_N like the recurrence.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"the binomial route needs n >= 2, got {n!r}")
-    total = 0
-    for i in range(n // 2 + 1):
-        total += binom(n - i, i) * k**i * (1 << (n - 2 * i))
+    guard_index(n)
+    t = total = 1 << n
+    for i in range(n // 2):
+        t = t * (k * (n - 2 * i) * (n - 2 * i - 1)) // (4 * (i + 1) * (n - i))
+        total += t
     return total
 
 
@@ -46,30 +56,44 @@ def gen_double_sum(params: SeqParams, n: int) -> int:
     """A two-case double binomial sum equal to G_{k,n+1}, for n >= 1.
 
     Even indices n = 2m and odd indices n = 2m-1 take slightly different
-    offsets; both cases sum 2*m terms of the shape
+    offsets (off = 2 and 3); both cases sum, over 1 <= i <= m and j in
+    {0, 1}, the terms
 
-        binom(...) * a**(1-j) * k**(power) * 2**(power) * (a*k + 2*a)**j
+        binom(N, R) * a**(1-j) * k**(m+1-i-j) * 2**(2i+j-off) * (a*k + 2*a)**j
 
-    with j in {0, 1}.  Terms whose binomial vanishes are skipped before any
-    power is formed, which also keeps the 2-exponent nonnegative.
+    with N = m-off+i+j and R = m-i.  Each j-series starts at the first i
+    whose binomial is nonzero, i = max(1, ceil((off-j)/2)), which also keeps
+    the 2-exponent nonnegative; no zero binomial is ever formed.  From
+    there, i -> i+1 moves binom(N, R) to binom(N+1, R-1) and trades a k for
+    a 4, so
+
+        t <- t * 4*(N+1)*R / (k*(N-R+2)*(N-R+1))
+
+    until R = 0.  Every term is an integer, so the floor division is exact.
+    Guarded by KPELL_GUARD_N like the recurrence.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"the double-sum route needs n >= 1, got {n!r}")
+    guard_index(n)
     a, k = params.a, params.k
-    first = a * k + 2 * a
     if n % 2 == 0:
         m, off = n // 2, 2
     else:
         m, off = (n + 1) // 2, 3
     total = 0
-    for i in range(1, m + 1):
-        for j in (0, 1):
-            c = binom(m - off + i + j, m - i)
-            if c == 0:
-                continue
-            e2 = 2 * i + j - off
-            assert e2 >= 0
-            total += c * a ** (1 - j) * k ** (m + 1 - i - j) * (1 << e2) * first**j
+    for j in (0, 1):
+        i = max(1, (off - j + 1) // 2)
+        if i > m:
+            continue
+        top, r = m - off + i + j, m - i
+        t = math.comb(top, r) * a ** (1 - j) * k ** (m + 1 - i - j) << (2 * i + j - off)
+        if j:
+            t *= a * k + 2 * a
+        total += t
+        while r:
+            t = t * (4 * (top + 1) * r) // (k * (top - r + 2) * (top - r + 1))
+            top, r = top + 1, r - 1
+            total += t
     return total
 
 

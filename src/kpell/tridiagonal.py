@@ -75,10 +75,14 @@ class Tridiag:
         return 0
 
     def to_dense(self) -> "DenseMat":
+        """The n x n matrix, each row of zeros filled in from the bands."""
         n = self.n
-        return DenseMat._of_checked(
-            [[self.entry(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        )
+        rows = [[0] * n for _ in range(n)]
+        for i, d in enumerate(self._diag):
+            rows[i][i] = d
+        for i, (b, c) in enumerate(zip(self._sup, self._sub)):
+            rows[i][i + 1], rows[i + 1][i] = b, c
+        return DenseMat._of_checked(rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tridiag):

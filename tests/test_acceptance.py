@@ -127,6 +127,13 @@ def test_criterion_4_closed_forms_match_recurrence():
                     assert gen_double_sum(params, n) == gens[n + 1], f"k={k} a={a} n={n}"
 
 
+def test_criterion_4_closed_forms_at_scale():
+    with criterion("criterion-4 closed forms vs O(log n) routes at n=2*10^4", budget_s=5.0):
+        assert pell_binomial(1, 20_000) == pell_fast(1, 20_000)[1]
+        params = SeqParams(2, 3)
+        assert gen_double_sum(params, 20_001) == gen_binet(params, 20_002)
+
+
 def _signed_minors(dense):
     n = dense.n
     rows = []

@@ -161,6 +161,18 @@ class TestEval:
         assert code == 2
         assert "KPELL_GUARD_N" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("--kind", "P", "--method", "binomial"),
+            ("--kind", "G", "--a", "2", "--method", "double-sum"),
+        ),
+    )
+    def test_guard_trips_sums(self, capsys, argv):
+        code, out, err = run(capsys, "eval", "--k", "1", "--n", "20000000", *argv)
+        assert code == 2 and out == ""
+        assert "KPELL_GUARD_N" in err
+
 
 class TestVerify:
     def test_all_pass_small_grid(self, capsys):

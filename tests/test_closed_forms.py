@@ -13,7 +13,14 @@ from kpell.closed_forms import (
     symbolic_term,
 )
 from kpell.poly import KPoly, poly_str
-from kpell.sequences import SeqKind, SeqParams, prefix, term
+from kpell.sequences import (
+    SeqKind,
+    SeqParams,
+    gen_binet,
+    pell_fast,
+    prefix,
+    term,
+)
 
 
 class TestBinom:
@@ -81,6 +88,34 @@ class TestGenDoubleSum:
     def test_equals_recurrence(self, k, a, n):
         params = SeqParams(k, a)
         assert gen_double_sum(params, n) == term(SeqKind.GEN_PELL, params, n + 1)
+
+
+class TestSumsAtScale:
+    """Both sums against the O(log n) routes, far past the recurrence tests."""
+
+    @pytest.mark.parametrize("n", (2000, 2001, 4999, 5000))
+    @pytest.mark.parametrize("k", (1, 2, 3, 8))  # 1+k = 4 and 9 are squares
+    def test_pell_binomial_matches_doubling(self, k, n):
+        assert pell_binomial(k, n) == pell_fast(k, n)[1]
+
+    @pytest.mark.parametrize("n", (2000, 2001, 4999, 5000))
+    @pytest.mark.parametrize("k", (1, 2, 3, 8))
+    def test_gen_double_sum_matches_binet(self, k, n):
+        for a in (1, 2, 7):
+            params = SeqParams(k, a)
+            assert gen_double_sum(params, n) == gen_binet(params, n + 1), f"a={a}"
+
+
+class TestSumGuard:
+    def test_env_guard_refuses_both_sums(self, monkeypatch):
+        monkeypatch.setenv("KPELL_GUARD_N", "50")
+        with pytest.raises(ValueError, match="KPELL_GUARD_N"):
+            pell_binomial(1, 100)
+        with pytest.raises(ValueError, match="KPELL_GUARD_N"):
+            gen_double_sum(SeqParams(1), 100)
+        # at the guard itself both still run; prefix is unguarded by design
+        assert pell_binomial(1, 50) == prefix(SeqKind.PELL, SeqParams(1), 52)[51]
+        assert gen_double_sum(SeqParams(1), 50) == prefix(SeqKind.GEN_PELL, SeqParams(1), 52)[51]
 
 
 # Little-endian coefficient tables for n = 0..7, frozen by hand.

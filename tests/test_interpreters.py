@@ -23,6 +23,8 @@ COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast"),
     ("eval", "--kind", "G", "--k", "3", "--a", "2", "--n", "5000", "--method", "binet"),
+    ("eval", "--kind", "P", "--k", "1", "--n", "5000", "--method", "binomial"),
+    ("eval", "--kind", "G", "--k", "2", "--a", "3", "--n", "5001", "--method", "double-sum"),
     ("verify", "--k-max", "4", "--a-max", "2", "--n-max", "10", "--format", "json"),
     ("matrix", "--kind", "G", "--k", "2", "--a", "3", "--n", "40", "--show", "inverse",
      "--format", "json"),

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -153,6 +154,23 @@ class TestStructures:
         assert t.entry(1, 3) == 0 and t.entry(3, 1) == 0
         with pytest.raises(IndexError):
             t.entry(0, 1)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 7, 40))
+    def test_to_dense_matches_entry(self, n):
+        rng = random.Random(n)
+
+        def band(size):
+            return [rng.choice((rng.randint(-99, 99), Fraction(rng.randint(-9, 9), 7)))
+                    for _ in range(size)]
+
+        t = Tridiag(band(n), band(n - 1), band(n - 1))
+        rows = t.to_dense().rows
+        assert len(rows) == n
+        for i in range(1, n + 1):
+            assert len(rows[i - 1]) == n
+            for j in range(1, n + 1):
+                cell = rows[i - 1][j - 1]
+                assert cell == t.entry(i, j) and type(cell) is type(t.entry(i, j))
 
     def test_band_length_validation(self):
         with pytest.raises(ValueError):
