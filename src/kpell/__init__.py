@@ -31,8 +31,6 @@ _EXPORTS = {
         "SeqKind",
         "SeqParams",
         "gen_binet",
-        "gen_from_lucas",
-        "gen_from_pell",
         "initial_pair",
         "pell_binet",
         "pell_fast",

@@ -28,7 +28,6 @@ from .sequences import (
     pell_binet,
     pell_fast_term,
     prefix,
-    recurrence_guard,
     term,
 )
 
@@ -266,11 +265,6 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.n < 0 or args.k < 1 or args.repeat < 1:
         return _fail_usage("need --k >= 1, --n >= 0, --repeat >= 1")
-    if args.method == "recurrence" and args.n > recurrence_guard():
-        return _fail_usage(
-            f"n={args.n} exceeds the recurrence guard {recurrence_guard()}; "
-            "use --method fast or raise KPELL_GUARD_N"
-        )
     params = SeqParams(args.k)
     for run in range(args.repeat):
         start = time.perf_counter()

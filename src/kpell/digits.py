@@ -41,8 +41,9 @@ EXACT = Context(
 
 # At most 4215 decimal digits, so str() stays under CPython's default limit.
 STR_MAX_BITS = 14_000
-# Doubling on Decimal and printing with str() overtakes doubling on int and
-# printing with to_str() at about this many digits (CPython 3.11, x86-64).
+# Square-and-multiply on Decimal and printing with str() overtakes the same
+# on int and printing with to_str() at about this many digits (CPython 3.11,
+# x86-64).
 DECIMAL_MIN_DIGITS = 10_000
 
 _LEAF_BITS = 128

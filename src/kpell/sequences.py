@@ -11,11 +11,15 @@ and differ only in their first two terms:
     q (modified Pell):  1, 1
     G (generalized):    a, a        (a >= 1; a = 1 gives q)
 
-Beyond the plain recurrence this module provides root-power (Binet-style)
-evaluation on integer pairs in Z[sqrt(1+k)], inter-sequence conversions and
-an O(log n) doubling evaluator for P, run on int or, for huge terms, on exact
-Decimal.  Every route is exact; a route that would silently leave the integers
-raises ExactnessError instead.
+Beyond the plain recurrence, every O(log n) route runs one engine,
+``_root_power``: with d = 1+k it computes (1 + sqrt(d))**n = x + y*sqrt(d) by
+square-and-multiply on an integer pair, and each kind reads its term off that
+pair:
+
+    P_n = y,    P_{n+1} = x + y,    q_n = x,    Q_n = 2*x,    G_n = a*x.
+
+The engine runs on int or, for huge terms, on exact Decimal.  Every route is
+exact.
 """
 
 from __future__ import annotations
@@ -141,16 +145,19 @@ def prefix(kind: SeqKind, params: SeqParams, count: int) -> list[int]:
     return list(islice(term_stream(kind, params), count))
 
 
-def _root_power(d: int, e: int) -> tuple[int, int]:
+def _root_power(d, e: int):
     """(x, y) with (1 + sqrt(d))**e = x + y*sqrt(d), by square-and-multiply in Z[sqrt(d)].
 
-    The bits of e are read from the most significant down, so each step
-    squares the pair and a set bit multiplies it by 1 + sqrt(d), which takes
-    additions only.
+    For e >= 1 the pair takes the number type of d: int, or Decimal under
+    the EXACT context.  The bits of e are read from the most significant
+    down, so each step squares the pair and a set bit multiplies it by
+    1 + sqrt(d), which takes additions and a small multiple only.  y*y is
+    formed before it is scaled by d, so that int and libmpdec both take their
+    squaring path.
     """
     x, y = 1, 0
     for shift in range(e.bit_length() - 1, -1, -1):
-        x, y = x * x + d * y * y, 2 * x * y
+        x, y = x * x + d * (y * y), 2 * x * y
         if (e >> shift) & 1:
             x, y = x + d * y, x + y
     return x, y
@@ -174,61 +181,23 @@ def gen_binet(params: SeqParams, n: int) -> int:
     return params.a * _root_power(1 + params.k, n)[0]
 
 
-def gen_from_lucas(params: SeqParams, n: int) -> int:
-    """G via the Pell-Lucas sequence: G_n = a * Q_n / 2."""
-    _check_index(n)
-    doubled = params.a * term(SeqKind.PELL_LUCAS, params, n)
-    if doubled % 2:
-        raise ExactnessError(f"a*Q_{n} = {doubled} is odd; conversion to G failed")
-    return doubled // 2
-
-
-def gen_from_pell(params: SeqParams, n: int) -> int:
-    """G via Pell terms: G_n = a*P_n + a*k*P_{n-1}, valid for n >= 1."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"the Pell conversion needs n >= 1, got {n!r}")
-    p_prev, p_cur = prefix(SeqKind.PELL, params, n + 1)[-2:]
-    return params.a * p_cur + params.a * params.k * p_prev
-
-
 def _check_k(k: int) -> None:
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
-
-
-def _doubling(k: int, n: int, u, v):
-    """(P_n, P_{n+1}) from (u, v) = (P_0, P_1), in the number type of u and v.
-
-    Walks the bits of n from the most significant down, maintaining the
-    pair (u, v) = (P_m, P_{m+1}) and doubling the index with
-
-        P_{2m}   = 2*u*(v - u)
-        P_{2m+1} = v*v + k*u*u
-
-    (index addition at m + m and m + (m+1), using k*P_{m-1} = v - 2*u),
-    then stepping one index further when the bit is set.
-    """
-    for shift in range(n.bit_length() - 1, -1, -1):
-        even = 2 * u * (v - u)
-        odd = v * v + k * u * u
-        if (n >> shift) & 1:
-            u, v = odd, 2 * odd + k * even
-        else:
-            u, v = even, odd
-    return u, v
 
 
 def pell_fast(k: int, n: int) -> tuple[int, int]:
     """(P_n, P_{n+1}) in O(log n) big-integer multiplications (Takahashi, IPL 75, 2000)."""
     _check_k(k)
     _check_index(n)
-    return _doubling(k, n, 0, 1)
+    x, y = _root_power(1 + k, n)
+    return y, x + y
 
 
 def pell_fast_term(k: int, n: int) -> int | Decimal:
-    """P_n by doubling: pell_fast's int, or an exact Decimal for a huge term.
+    """P_n in O(log n): pell_fast's int, or an exact Decimal for a huge term.
 
-    Past DECIMAL_MIN_DIGITS estimated digits the loop runs on Decimal under
+    Past DECIMAL_MIN_DIGITS estimated digits the engine runs on Decimal under
     the EXACT context, where libmpdec's transform multiplication beats int's
     Karatsuba and ``str()`` is linear.  Print the result with ``str()`` or
     ``digits.to_str``; reduce it only under EXACT.
@@ -238,4 +207,4 @@ def pell_fast_term(k: int, n: int) -> int | Decimal:
     if estimated_digits(k, n) <= DECIMAL_MIN_DIGITS:
         return pell_fast(k, n)[0]
     with localcontext(EXACT):
-        return _doubling(k, n, Decimal(0), Decimal(1))[0]
+        return _root_power(Decimal(1 + k), n)[1]

@@ -13,8 +13,6 @@ from kpell.sequences import (
     SeqKind,
     SeqParams,
     gen_binet,
-    gen_from_lucas,
-    gen_from_pell,
     initial_pair,
     pell_binet,
     estimated_digits,
@@ -133,11 +131,11 @@ class TestBinet:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 15])  # 1+k = 4, 9, 16 are squares
     def test_large_index_matches_doubling(self, k):
+        # pell_fast runs the same engine as Binet, so the recurrence is the reference.
         n = 5000
-        p_prev, p_cur = pell_fast(k, n - 1)
-        assert pell_binet(k, n) == p_cur
-        # G_n = a*P_n + a*k*P_{n-1}
-        assert gen_binet(SeqParams(k, 3), n) == 3 * (p_cur + k * p_prev)
+        assert pell_binet(k, n) == term(SeqKind.PELL, SeqParams(k), n)
+        params = SeqParams(k, 3)
+        assert gen_binet(params, n) == term(SeqKind.GEN_PELL, params, n)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -148,19 +146,37 @@ class TestBinet:
             gen_binet(SeqParams(2), -1)
 
 
-class TestConversions:
-    def test_gen_from_lucas(self):
-        assert gen_from_lucas(SeqParams(1, 1), 0) == 1
-        assert gen_from_lucas(SeqParams(3, 2), 2) == 10
-        assert gen_from_lucas(SeqParams(1, 1), 5) == 41
+class TestRootPower:
+    @pytest.mark.parametrize("d", [2, 3, 4, 9, 16])
+    def test_norm_is_a_power_of_minus_k(self, d):
+        # (x + y*sqrt(d)) * (x - y*sqrt(d)) = (r1*r2)**e, and r1*r2 = 1 - d = -k
+        for e in range(64):
+            x, y = _root_power(d, e)
+            assert x * x - d * y * y == (1 - d) ** e
 
-    def test_gen_from_pell(self):
-        assert gen_from_pell(SeqParams(1, 1), 3) == 7
-        assert gen_from_pell(SeqParams(3, 2), 4) == 82
-        for a in (1, 2, 3):
-            assert gen_from_pell(SeqParams(2, a), 1) == a
-        with pytest.raises(ValueError):
-            gen_from_pell(SeqParams(1, 1), 0)
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_decimal_pair_equals_int_pair(self, k):
+        n = 30_011
+        assert estimated_digits(k, n) > DECIMAL_MIN_DIGITS
+        with localcontext(EXACT):
+            pair = _root_power(Decimal(1 + k), n)
+            assert all(isinstance(v, Decimal) for v in pair)
+            assert pair == _root_power(1 + k, n)
+
+
+class TestConversions:
+    """G from the other kinds, on recurrence values: G_n = a*Q_n/2 = a*P_n + a*k*P_{n-1}."""
+
+    def test_lucas_to_gen(self):
+        for (k, a), n, want in (((1, 1), 0, 1), ((3, 2), 2, 10), ((1, 1), 5, 41)):
+            lucas = term(SeqKind.PELL_LUCAS, SeqParams(k), n)
+            assert a * lucas == 2 * want
+
+    def test_pell_to_gen(self):
+        cases = [((1, 1), 3, 7), ((3, 2), 4, 82)] + [((2, a), 1, a) for a in (1, 2, 3)]
+        for (k, a), n, want in cases:
+            p_prev, p_cur = prefix(SeqKind.PELL, SeqParams(k), n + 1)[-2:]
+            assert a * p_cur + a * k * p_prev == want
 
     @given(
         st.integers(min_value=1, max_value=6),
@@ -170,9 +186,11 @@ class TestConversions:
     def test_conversions_agree(self, k, a, n):
         params = SeqParams(k, a)
         expected = term(SeqKind.GEN_PELL, params, n)
-        assert gen_from_lucas(params, n) == expected
+        lucas = prefix(SeqKind.PELL_LUCAS, params, n + 1)
+        assert a * lucas[n] == 2 * expected
         if n >= 1:
-            assert gen_from_pell(params, n) == expected
+            pell = prefix(SeqKind.PELL, params, n + 1)
+            assert a * pell[n] + a * k * pell[n - 1] == expected
 
 
 class TestFastDoubling:

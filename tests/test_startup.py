@@ -23,8 +23,7 @@ EXPORTS = {
     "quadratic": ("QuadNum", "quad_roots"),
     "sequences": (
         "DEFAULT_GUARD_N", "ExactnessError", "SeqKind", "SeqParams", "gen_binet",
-        "gen_from_lucas", "gen_from_pell", "initial_pair", "pell_binet", "pell_fast",
-        "prefix", "term", "term_stream",
+        "initial_pair", "pell_binet", "pell_fast", "prefix", "term", "term_stream",
     ),
     "tridiagonal": (
         "DenseMat", "ThetaPhi", "Tridiag", "adjugate", "bareiss_det", "det_continuant",
