@@ -16,18 +16,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "closed_forms": (
         "EigenReport",
-        "binom",
         "eigen_product",
         "eigenvalues",
         "gen_double_sum",
         "pell_binomial",
-        "symbolic_term",
+        "poly_str",
+        "symbolic_prefix",
     ),
-    "poly": ("KPoly", "poly_str"),
     "quadratic": ("QuadNum", "quad_roots"),
     "sequences": (
         "DEFAULT_GUARD_N",
-        "ExactnessError",
         "SeqKind",
         "SeqParams",
         "gen_binet",

@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .digits import EXACT, to_str
 from .sequences import (
-    ExactnessError,
     SeqKind,
     SeqParams,
     gen_binet,
@@ -73,12 +72,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
             return _fail_usage("--symbolic excludes --k/--a")
         if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
             return _fail_usage("symbolic tables exist for kinds P and G only")
-        from .closed_forms import symbolic_term
-        from .poly import poly_str
+        from .closed_forms import poly_str, symbolic_prefix
 
         suffix = "a" if kind is SeqKind.GEN_PELL else ""
         values = [
-            poly_str(symbolic_term(kind, n), "k", suffix) for n in range(args.n_max + 1)
+            poly_str(coeffs, "k", suffix) for coeffs in symbolic_prefix(kind, args.n_max + 1)
         ]
     else:
         if args.k is None:
@@ -352,9 +350,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ExactnessError as exc:
-        print(f"kpell: exactness violation: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         return _fail_usage(str(exc))
 

@@ -1,34 +1,27 @@
 """Closed-form evaluation routes that avoid the recurrence entirely.
 
 Three exact routes (a single binomial sum for P, a two-case double binomial
-sum for G, and symbolic polynomials in k for both), plus one deliberately
-inexact route: the determinant of the generating matrix as a product of
-complex eigenvalues, kept for numerical cross-checking.
+sum for G, and symbolic tables of both as polynomials in k), plus one
+deliberately inexact route: the determinant of the generating matrix as a
+product of complex eigenvalues, kept for numerical cross-checking.
+
+A symbolic term is a little-endian tuple of ints: index i holds the
+coefficient of k**i.  ``symbolic_prefix`` walks the recurrence once for a
+whole table, and ``poly_str`` renders one term.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import zip_longest
+from typing import Sequence
 
-from .poly import KPoly
-from .sequences import SeqKind, SeqParams, _check_index, guard_index, term
-
-
-def binom(n: int, r: int) -> int:
-    """Binomial coefficient extended by zero outside 0 <= r <= n.
-
-    Negative arguments simply give 0 (so e.g. binom(-1, 0) == 0), which is
-    the convention the sums below are stated in; their evaluation starts
-    past the zero terms instead of forming them.
-    """
-    if r < 0 or n < 0 or r > n:
-        return 0
-    return math.comb(n, r)
+from .sequences import SeqKind, SeqParams, guard_index, term
 
 
 def pell_binomial(k: int, n: int) -> int:
-    """The sum over i of binom(n-i, i) * k**i * 2**(n-2i), equal to P_{k,n+1}.
+    """The sum over i of C(n-i, i) * k**i * 2**(n-2i), equal to P_{k,n+1}.
 
     Defined for n >= 2; smaller n have degenerate sums that miss the
     sequence values.  The terms are hypergeometric: from t_0 = 2**n,
@@ -59,12 +52,12 @@ def gen_double_sum(params: SeqParams, n: int) -> int:
     offsets (off = 2 and 3); both cases sum, over 1 <= i <= m and j in
     {0, 1}, the terms
 
-        binom(N, R) * a**(1-j) * k**(m+1-i-j) * 2**(2i+j-off) * (a*k + 2*a)**j
+        C(N, R) * a**(1-j) * k**(m+1-i-j) * 2**(2i+j-off) * (a*k + 2*a)**j
 
     with N = m-off+i+j and R = m-i.  Each j-series starts at the first i
     whose binomial is nonzero, i = max(1, ceil((off-j)/2)), which also keeps
     the 2-exponent nonnegative; no zero binomial is ever formed.  From
-    there, i -> i+1 moves binom(N, R) to binom(N+1, R-1) and trades a k for
+    there, i -> i+1 moves C(N, R) to C(N+1, R-1) and trades a k for
     a 4, so
 
         t <- t * 4*(N+1)*R / (k*(N-R+2)*(N-R+1))
@@ -97,23 +90,52 @@ def gen_double_sum(params: SeqParams, n: int) -> int:
     return total
 
 
-def symbolic_term(kind: SeqKind, n: int) -> KPoly:
-    """The n-th term of P or G as a polynomial in k.
+def symbolic_prefix(kind: SeqKind, count: int) -> list[tuple[int, ...]]:
+    """The first ``count`` terms of P or G as coefficient tuples in k.
 
-    For G the returned polynomial holds the coefficients of ``a``: the true
-    term is ``a`` times it, and rendering appends the ``a`` suffix.  Only
-    the P and G kinds have polynomial tables here.
+    For G each tuple holds the coefficients of ``a``: the true term is ``a``
+    times it, and rendering appends the ``a`` suffix.  Only the P and G
+    kinds have polynomial tables here.  The step x_n = 2*x_{n-1} + k*x_{n-2}
+    doubles one tuple and adds the other shifted up by one power of k.
     """
     if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
         raise ValueError(f"symbolic terms are available for P and G only, not {kind}")
-    _check_index(n)
-    if kind is SeqKind.PELL:
-        prev, cur = KPoly(), KPoly([1])
-    else:
-        prev, cur = KPoly([1]), KPoly([1])
-    for _ in range(n):
-        prev, cur = cur, 2 * cur + prev.shift()
-    return prev
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    prev, cur = ((), (1,)) if kind is SeqKind.PELL else ((1,), (1,))
+    terms = []
+    for _ in range(count):
+        terms.append(prev)
+        step = zip_longest(cur, (0, *prev), fillvalue=0)
+        prev, cur = cur, tuple(2 * c + p for c, p in step)
+    return terms
+
+
+def poly_str(coeffs: Sequence[int], var: str = "k", suffix: str = "") -> str:
+    """Render little-endian coefficients in descending powers: ``k^2a + 8ka + 8a`` style.
+
+    Zero coefficients are skipped, so no coefficients (or only zeros) give
+    ``"0"``.  A unit coefficient is suppressed next to a variable or suffix,
+    and negative coefficients fold into `` - `` separators.
+    """
+    parts: list[str] = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == 0:
+            continue
+        if e == 0:
+            body = suffix
+        elif e == 1:
+            body = var + suffix
+        else:
+            body = f"{var}^{e}{suffix}"
+        mag = abs(c)
+        text = body if (mag == 1 and body) else f"{mag}{body}"
+        if not parts:
+            parts.append(text if c > 0 else f"-{text}")
+        else:
+            parts.append(f"+ {text}" if c > 0 else f"- {text}")
+    return " ".join(parts) or "0"
 
 
 class EigenReport(

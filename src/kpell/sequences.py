@@ -38,10 +38,6 @@ DEFAULT_GUARD_N = 10_000_000
 GUARD_ENV_VAR = "KPELL_GUARD_N"
 
 
-class ExactnessError(ArithmeticError):
-    """An exact route produced a non-integer where an integer is forced."""
-
-
 @unique
 class SeqKind(Enum):
     """The four members of the family, keyed by their conventional letters."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -35,6 +36,26 @@ class TestTable:
             "2\tka + 2a",
             "3\t3ka + 4a",
             "4\tk^2a + 8ka + 8a",
+        ]
+
+    def test_symbolic_table_walks_once(self, capsys):
+        # A walk per row took 16 s here; one walk for the table takes a fraction of a second.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "table", "--kind", "G", "--symbolic", "--n-max", "800")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert elapsed < 3.0, f"{elapsed:.2f} s"
+        rows = out.splitlines()
+        assert len(rows) == 801
+        assert rows[:8] == [
+            "0\ta",
+            "1\ta",
+            "2\tka + 2a",
+            "3\t3ka + 4a",
+            "4\tk^2a + 8ka + 8a",
+            "5\t5k^2a + 20ka + 16a",
+            "6\tk^3a + 18k^2a + 48ka + 32a",
+            "7\t7k^3a + 56k^2a + 112ka + 64a",
         ]
 
     def test_symbolic_excludes_k(self, capsys):

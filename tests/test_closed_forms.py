@@ -5,14 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kpell.closed_forms import (
-    binom,
     eigen_product,
     eigenvalues,
     gen_double_sum,
     pell_binomial,
-    symbolic_term,
+    poly_str,
+    symbolic_prefix,
 )
-from kpell.poly import KPoly, poly_str
 from kpell.sequences import (
     SeqKind,
     SeqParams,
@@ -21,26 +20,6 @@ from kpell.sequences import (
     prefix,
     term,
 )
-
-
-class TestBinom:
-    def test_zero_extension(self):
-        assert binom(-1, 0) == 0
-        assert binom(0, -1) == 0
-        assert binom(3, 5) == 0
-        assert binom(-2, -2) == 0
-
-    def test_interior_values(self):
-        assert binom(5, 0) == 1
-        assert binom(6, 2) == 15
-        assert binom(4, 4) == 1
-
-    @given(st.integers(min_value=-5, max_value=30), st.integers(min_value=-5, max_value=30))
-    def test_matches_math_comb_in_range(self, n, r):
-        if 0 <= r <= n:
-            assert binom(n, r) == math.comb(n, r)
-        else:
-            assert binom(n, r) == 0
 
 
 class TestPellBinomial:
@@ -132,33 +111,73 @@ GEN_POLYS = [
 ]
 
 
+def horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestSymbolicTerm:
     @pytest.mark.parametrize("n", range(8))
     def test_pell_table(self, n):
-        assert symbolic_term(SeqKind.PELL, n) == KPoly(PELL_POLYS[n])
+        assert symbolic_prefix(SeqKind.PELL, 8)[n] == PELL_POLYS[n]
 
     @pytest.mark.parametrize("n", range(8))
     def test_gen_table(self, n):
-        assert symbolic_term(SeqKind.GEN_PELL, n) == KPoly(GEN_POLYS[n])
+        assert symbolic_prefix(SeqKind.GEN_PELL, 8)[n] == GEN_POLYS[n]
 
     def test_rendered_strings(self):
-        assert poly_str(symbolic_term(SeqKind.PELL, 5)) == "k^2 + 12k + 16"
-        assert poly_str(symbolic_term(SeqKind.GEN_PELL, 7), "k", "a") == (
+        assert poly_str(symbolic_prefix(SeqKind.PELL, 6)[5]) == "k^2 + 12k + 16"
+        assert poly_str(symbolic_prefix(SeqKind.GEN_PELL, 8)[7], "k", "a") == (
             "7k^3a + 56k^2a + 112ka + 64a"
         )
 
     def test_unsupported_kinds(self):
         for kind in (SeqKind.PELL_LUCAS, SeqKind.MODIFIED_PELL):
             with pytest.raises(ValueError):
-                symbolic_term(kind, 3)
+                symbolic_prefix(kind, 3)
+
+    def test_count(self):
+        assert symbolic_prefix(SeqKind.PELL, 0) == []
+        assert symbolic_prefix(SeqKind.GEN_PELL, 1) == [(1,)]
+        with pytest.raises(ValueError):
+            symbolic_prefix(SeqKind.PELL, -1)
 
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=60))
     def test_evaluation_matches_terms(self, k, n):
         params = SeqParams(k, 1)
-        assert symbolic_term(SeqKind.PELL, n).evaluate(k) == term(SeqKind.PELL, params, n)
-        gen_poly = symbolic_term(SeqKind.GEN_PELL, n)
+        pell_row = symbolic_prefix(SeqKind.PELL, n + 1)[n]
+        assert horner(pell_row, k) == term(SeqKind.PELL, params, n)
+        gen_row = symbolic_prefix(SeqKind.GEN_PELL, n + 1)[n]
         for a in (1, 2, 5):
-            assert a * gen_poly.evaluate(k) == term(SeqKind.GEN_PELL, SeqParams(k, a), n)
+            assert a * horner(gen_row, k) == term(SeqKind.GEN_PELL, SeqParams(k, a), n)
+
+    def test_pell_rows_are_the_binomial_sum(self):
+        # P_{n+1} = sum over i of C(n-i, i) * 2**(n-2i) * k**i
+        rows = symbolic_prefix(SeqKind.PELL, 202)
+        for n in range(201):
+            expected = tuple(math.comb(n - i, i) * 2 ** (n - 2 * i) for i in range(n // 2 + 1))
+            assert rows[n + 1] == expected, f"n={n}"
+
+
+class TestPolyStr:
+    def test_plain_forms(self):
+        assert poly_str(()) == "0"
+        assert poly_str((0, 0)) == "0"
+        assert poly_str((1,)) == "1"
+        assert poly_str((4, 1)) == "k + 4"
+        assert poly_str((16, 12, 1)) == "k^2 + 12k + 16"
+
+    def test_suffix_forms(self):
+        assert poly_str((1,), "k", "a") == "a"
+        assert poly_str((2, 1), "k", "a") == "ka + 2a"
+        assert poly_str((64, 112, 56, 7), "k", "a") == "7k^3a + 56k^2a + 112ka + 64a"
+
+    def test_negative_coefficients(self):
+        assert poly_str((-4, 1)) == "k - 4"
+        assert poly_str((4, -1)) == "-k + 4"
+        assert poly_str((0, -2, 3)) == "3k^2 - 2k"
 
 
 class TestEigen:

@@ -18,7 +18,7 @@ MINORS = ("3.10", "3.12", "3.13")
 # bench and eval run the doubling loop on Decimal; bench prints a digest, eval
 # every digit.  Binet runs in integers at a perfect-square 1+k = 4, and the
 # CLI cross-checks it against the recurrence.  verify renders QuadNum and Fraction sides, k = 3 among them;
-# matrix renders the inverse's reduced Fraction cells.
+# matrix renders the inverse's reduced Fraction cells; table renders symbolic rows.
 COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast"),
@@ -28,6 +28,7 @@ COMPARED = (
     ("verify", "--k-max", "4", "--a-max", "2", "--n-max", "10", "--format", "json"),
     ("matrix", "--kind", "G", "--k", "2", "--a", "3", "--n", "40", "--show", "inverse",
      "--format", "json"),
+    ("table", "--kind", "G", "--symbolic", "--n-max", "60"),
 )
 VERIFY = ("verify", "--k-max", "2", "--a-max", "2", "--n-max", "8")
 

@@ -16,14 +16,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # The package's public names, by defining module.
 EXPORTS = {
     "closed_forms": (
-        "EigenReport", "binom", "eigen_product", "eigenvalues", "gen_double_sum",
-        "pell_binomial", "symbolic_term",
+        "EigenReport", "eigen_product", "eigenvalues", "gen_double_sum", "pell_binomial",
+        "poly_str", "symbolic_prefix",
     ),
-    "poly": ("KPoly", "poly_str"),
     "quadratic": ("QuadNum", "quad_roots"),
     "sequences": (
-        "DEFAULT_GUARD_N", "ExactnessError", "SeqKind", "SeqParams", "gen_binet",
-        "initial_pair", "pell_binet", "pell_fast", "prefix", "term", "term_stream",
+        "DEFAULT_GUARD_N", "SeqKind", "SeqParams", "gen_binet", "initial_pair",
+        "pell_binet", "pell_fast", "prefix", "term", "term_stream",
     ),
     "tridiagonal": (
         "DenseMat", "ThetaPhi", "Tridiag", "adjugate", "bareiss_det", "det_continuant",
@@ -57,8 +56,9 @@ def _python(*args: str) -> list[str]:
 
 
 NEVER_FOR_EVAL = {"dataclasses", "json", "kpell.verify", "kpell.closed_forms",
-                  "kpell.poly", "kpell.quadratic", "kpell.tridiagonal"}
+                  "kpell.quadratic", "kpell.tridiagonal"}
 NEVER_FOR_MATRIX = NEVER_FOR_EVAL - {"kpell.tridiagonal"}
+NEVER_FOR_SYMBOLIC = NEVER_FOR_EVAL - {"kpell.closed_forms"}
 
 
 @pytest.mark.parametrize(
@@ -76,6 +76,14 @@ def test_subcommand_imports_only_what_it_runs(argv, absent):
     assert code == "0"
     assert "kpell.sequences" in modules  # the probe saw the package at work
     assert sorted(absent & set(modules)) == []
+
+
+def test_symbolic_table_loads_closed_forms_only():
+    argv = ("table", "--kind", "G", "--symbolic", "--n-max", "4")
+    code, *modules = _python("-c", MODULES_AFTER_MAIN, *argv)
+    assert code == "0"
+    assert "kpell.closed_forms" in modules
+    assert sorted(NEVER_FOR_SYMBOLIC & set(modules)) == []
 
 
 def test_bare_import_loads_no_submodule():
