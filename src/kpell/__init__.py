@@ -21,7 +21,7 @@ _EXPORTS = {
         "gen_double_sum",
         "pell_binomial",
         "poly_str",
-        "symbolic_prefix",
+        "symbolic_stream",
     ),
     "quadratic": ("QuadNum", "quad_roots"),
     "sequences": (

@@ -17,6 +17,7 @@ import argparse
 import sys
 import time
 from decimal import Decimal, localcontext
+from itertools import islice
 from typing import Sequence
 
 from .digits import EXACT, to_str
@@ -26,8 +27,8 @@ from .sequences import (
     gen_binet,
     pell_binet,
     pell_fast_term,
-    prefix,
     term,
+    term_stream,
 )
 
 # Every subcommand needs the modules above; the others are imported in the
@@ -72,12 +73,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
             return _fail_usage("--symbolic excludes --k/--a")
         if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
             return _fail_usage("symbolic tables exist for kinds P and G only")
-        from .closed_forms import poly_str, symbolic_prefix
+        from .closed_forms import poly_str, symbolic_stream
 
         suffix = "a" if kind is SeqKind.GEN_PELL else ""
-        values = [
-            poly_str(coeffs, "k", suffix) for coeffs in symbolic_prefix(kind, args.n_max + 1)
-        ]
+        coeffs = islice(symbolic_stream(kind), args.n_max + 1)
+        values = (poly_str(c, "k", suffix) for c in coeffs)
     else:
         if args.k is None:
             return _fail_usage("numeric tables need --k (or pass --symbolic)")
@@ -85,7 +85,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
             params = _parse_params(args, kind)
         except ValueError as exc:
             return _fail_usage(str(exc))
-        values = [to_str(v) for v in prefix(kind, params, args.n_max + 1)]
+        values = map(to_str, islice(term_stream(kind, params), args.n_max + 1))
+    # Rows are rendered as they are printed, so text output never holds them all.
     if args.format == "json":
         payload: dict = {"kind": args.kind, "symbolic": bool(args.symbolic)}
         if not args.symbolic:
@@ -191,13 +192,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from .tridiagonal import (
+        adjugate,
+        det_continuant,
         entry_strings,
         gen_matrix,
         gen_pell_cofactor,
         pell_cofactor,
         render_grid,
         theta_phi,
-        usmani_inverse,
     )
 
     kind = KINDS[args.kind]
@@ -222,10 +224,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             print("theta:", " ".join(str(x) for x in tp.theta))
             print("phi:  ", " ".join(str(x) for x in tp.phi))
         return 0
+    det = 1
     if args.show == "matrix":
         dense = t.to_dense()
     elif args.show == "inverse":
-        dense = usmani_inverse(t)
+        # the cells of usmani_inverse(t), printed without a Fraction per cell
+        dense, det = adjugate(t), det_continuant(t)
     else:
         if args.n < 2:
             return _fail_usage("--show cofactor needs --n >= 2")
@@ -235,7 +239,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             dense = gen_pell_cofactor(params, args.n)
         else:
             return _fail_usage("cofactor matrices exist for kinds P and G only")
-    cells = entry_strings(dense)
+    cells = entry_strings(dense, det)
     if args.format == "json":
         _emit_json({"n": args.n, "entries": cells})
     else:

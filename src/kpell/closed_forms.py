@@ -6,7 +6,7 @@ deliberately inexact route: the determinant of the generating matrix as a
 product of complex eigenvalues, kept for numerical cross-checking.
 
 A symbolic term is a little-endian tuple of ints: index i holds the
-coefficient of k**i.  ``symbolic_prefix`` walks the recurrence once for a
+coefficient of k**i.  ``symbolic_stream`` walks the recurrence once for a
 whole table, and ``poly_str`` renders one term.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import zip_longest
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .sequences import SeqKind, SeqParams, guard_index, term
 
@@ -90,25 +90,25 @@ def gen_double_sum(params: SeqParams, n: int) -> int:
     return total
 
 
-def symbolic_prefix(kind: SeqKind, count: int) -> list[tuple[int, ...]]:
-    """The first ``count`` terms of P or G as coefficient tuples in k.
+def symbolic_stream(kind: SeqKind) -> Iterator[tuple[int, ...]]:
+    """Lazily yield the terms of P or G as coefficient tuples in k, from index 0.
 
     For G each tuple holds the coefficients of ``a``: the true term is ``a``
     times it, and rendering appends the ``a`` suffix.  Only the P and G
-    kinds have polynomial tables here.  The step x_n = 2*x_{n-1} + k*x_{n-2}
+    kinds have polynomial tables here; another kind raises ``ValueError``
+    at the call, not at the first term.  The step x_n = 2*x_{n-1} + k*x_{n-2}
     doubles one tuple and adds the other shifted up by one power of k.
     """
     if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
         raise ValueError(f"symbolic terms are available for P and G only, not {kind}")
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    prev, cur = ((), (1,)) if kind is SeqKind.PELL else ((1,), (1,))
-    terms = []
-    for _ in range(count):
-        terms.append(prev)
+    return _symbolic_walk(*(((), (1,)) if kind is SeqKind.PELL else ((1,), (1,))))
+
+
+def _symbolic_walk(prev: tuple[int, ...], cur: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    while True:
+        yield prev
         step = zip_longest(cur, (0, *prev), fillvalue=0)
         prev, cur = cur, tuple(2 * c + p for c, p in step)
-    return terms
 
 
 def poly_str(coeffs: Sequence[int], var: str = "k", suffix: str = "") -> str:

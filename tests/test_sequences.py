@@ -20,6 +20,7 @@ from kpell.sequences import (
     pell_fast_term,
     prefix,
     recurrence_guard,
+    _block,
     _root_power,
     term,
     term_stream,
@@ -100,6 +101,56 @@ class TestGuard:
         monkeypatch.setenv("KPELL_GUARD_N", "-1")
         with pytest.raises(ValueError):
             recurrence_guard()
+
+
+BLOCK_KS = [1, 2, 3, 8, 1000, 2**31, 2**59, 2**61]
+
+
+class TestBlockedWalk:
+    """``term`` jumps m steps per block; ``brute`` above takes them one at a time."""
+
+    @pytest.mark.parametrize("k", BLOCK_KS)
+    def test_block_is_the_longest_that_fits_60_bits(self, k):
+        m, *entries = _block(k)
+        P = brute(SeqKind.PELL, SeqParams(k), m + 3)
+        if m > 1:
+            assert entries == [P[m + 1], k * P[m], P[m], k * P[m - 1]]
+            assert max(entries) < 2**60
+        assert max(P[m + 2], k * P[m + 1]) >= 2**60  # one step more would not fit
+
+    def test_block_lengths(self):
+        assert [_block(k)[0] for k in (1, 2, 2**59 - 1, 2**59, 2**61)] == [47, 41, 2, 1, 1]
+
+    @pytest.mark.parametrize("k", BLOCK_KS)
+    @pytest.mark.parametrize("kind", sorted(SeqKind, key=lambda s: s.value))
+    def test_every_index_around_the_block_length(self, kind, k):
+        m = _block(k)[0]
+        for a in (1, 2, 9):
+            params = SeqParams(k, a)
+            want = brute(kind, params, 3 * m + 3)
+            assert [term(kind, params, n) for n in range(3 * m + 3)] == want
+
+    @given(
+        st.sampled_from(sorted(SeqKind, key=lambda s: s.value)),
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=1, max_value=9),
+        st.integers(min_value=0, max_value=2000),
+    )
+    def test_matches_brute(self, kind, k, a, n):
+        params = SeqParams(k, a)
+        assert term(kind, params, n) == brute(kind, params, n + 1)[n]
+
+    def test_guard_still_refuses_first(self, monkeypatch):
+        monkeypatch.setenv("KPELL_GUARD_N", "100")
+        for n in (101, 10**12):
+            with pytest.raises(ValueError, match="KPELL_GUARD_N"):
+                term(SeqKind.GEN_PELL, SeqParams(2, 3), n)
+        assert term(SeqKind.PELL, SeqParams(1), 100) == pell_fast(1, 100)[0]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [59_849, 10**5])
+    def test_matches_doubling_at_scale(self, k, n):
+        assert term(SeqKind.PELL, SeqParams(k), n) == pell_fast(k, n)[0]
 
 
 class TestBinet:

@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 EXPORTS = {
     "closed_forms": (
         "EigenReport", "eigen_product", "eigenvalues", "gen_double_sum", "pell_binomial",
-        "poly_str", "symbolic_prefix",
+        "poly_str", "symbolic_stream",
     ),
     "quadratic": ("QuadNum", "quad_roots"),
     "sequences": (

@@ -444,3 +444,23 @@ def test_entry_strings_and_grid():
     assert render_grid(cells) == "2/5  -1/5\n1/5   2/5"
     t = gen_matrix(SeqKind.GEN_PELL, SeqParams(1, 1), 2)
     assert entry_strings(t) == [["3", "1"], ["-1", "2"]]
+
+
+@pytest.mark.parametrize(
+    "t",
+    [gen_matrix(kind, SeqParams(k, a), n)
+     for kind in ALL_KINDS for k, a, n in ((1, 1, 1), (2, 3, 7), (5, 2, 12))]
+    + [Tridiag((3, -1, 4), (2, -5), (1, 6)), Tridiag((-2, 1), (3,), (1,)), Tridiag((-7,))],
+)
+def test_inverse_cells_print_as_reduced_fractions(t):
+    # the cells straight from the integer adjugate, divided by a determinant of either sign
+    det = det_continuant(t)
+    assert entry_strings(adjugate(t), det) == entry_strings(usmani_inverse(t))
+    assert entry_strings(adjugate(t), det) == [
+        [str(Fraction(x, det)) for x in row] for row in adjugate(t).rows
+    ]
+
+
+def test_inverse_cells_refuse_a_zero_determinant():
+    with pytest.raises(ZeroDivisionError):
+        entry_strings(DenseMat([[1, 0], [0, 1]]), 0)
