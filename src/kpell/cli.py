@@ -24,11 +24,10 @@ from .digits import EXACT, to_str
 from .sequences import (
     SeqKind,
     SeqParams,
-    gen_binet,
-    pell_binet,
+    binet_term,
     pell_fast_term,
+    print_stream,
     term,
-    term_stream,
 )
 
 # Every subcommand needs the modules above; the others are imported in the
@@ -85,7 +84,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             params = _parse_params(args, kind)
         except ValueError as exc:
             return _fail_usage(str(exc))
-        values = map(to_str, islice(term_stream(kind, params), args.n_max + 1))
+        values = map(str, islice(print_stream(kind, params), args.n_max + 1))
     # Rows are rendered as they are printed, so text output never holds them all.
     if args.format == "json":
         payload: dict = {"kind": args.kind, "symbolic": bool(args.symbolic)}
@@ -109,11 +108,9 @@ def _eval_dispatch(kind: SeqKind, params: SeqParams, n: int, method: str) -> int
             raise ValueError("--method fast applies to kind P only")
         return pell_fast_term(params.k, n)
     if method == "binet":
-        if kind is SeqKind.PELL:
-            return pell_binet(params.k, n)
-        if kind is SeqKind.GEN_PELL:
-            return gen_binet(params, n)
-        raise ValueError("--method binet applies to kinds P and G only")
+        if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
+            raise ValueError("--method binet applies to kinds P and G only")
+        return binet_term(kind, params, n)
     if method == "binomial":
         if kind is not SeqKind.PELL:
             raise ValueError("--method binomial applies to kind P only")
@@ -144,7 +141,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return _fail_usage(str(exc))
     text = to_str(value)
     if args.method != "recurrence" and args.n <= CROSS_CHECK_LIMIT:
-        # Compared as digits: the fast route may hand back a Decimal.
+        # Compared as digits: the fast and Binet routes may hand back a Decimal.
         reference = to_str(term(kind, params, args.n))
         if text != reference:
             print(

@@ -3,7 +3,9 @@
 With an indent, ``json.dumps`` runs the pure-Python encoder, which yields one
 token at a time through nested generators.  ``IndentEncoder`` builds the same
 text by recursion over dicts, lists, strings, ints, bools and None, quoting
-strings with the encoder's own C routine.  Pass it as ``cls`` to
+strings with the encoder's own C routine.  Each container's text is one join
+of its parts, so a large value is copied once per nesting level, not once
+per concatenation.  Pass it as ``cls`` to
 ``json.dumps`` with an integer indent and otherwise default options; a value
 of any other type (or a dict key that is not a string) sends the whole value
 to the stock encoder, so the output is always what the stock encoder gives.
@@ -28,17 +30,24 @@ def _text(value: object, newline: str, unit: str) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     inner = newline + unit
+    sep = "," + inner
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_text(item, inner, unit) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        parts = ["[", inner]
+        for item in value:
+            parts += (_text(item, inner, unit), sep)
+        parts[-1] = newline + "]"
+        return "".join(parts)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        # _quote raises TypeError for a key that is not a string
-        items = [_quote(key) + ": " + _text(item, inner, unit) for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        parts = ["{", inner]
+        for key, item in value.items():
+            # _quote raises TypeError for a key that is not a string
+            parts += (_quote(key), ": ", _text(item, inner, unit), sep)
+        parts[-1] = newline + "}"
+        return "".join(parts)
     raise TypeError(f"{type(value).__name__} is left to the stock encoder")
 
 

@@ -30,8 +30,15 @@ pair:
 
     P_n = y,    P_{n+1} = x + y,    q_n = x,    Q_n = 2*x,    G_n = a*x.
 
-The engine runs on int or, for huge terms, on exact Decimal.  Every route is
-exact.
+The engine carries the norm q = x**2 - d*y**2 = (-k)**m of the exponent m
+read so far, so that a doubling takes two squarings of the pair and one of q
+instead of three products, and the last bit forms only the coordinate the
+caller reads.  It runs on int or, past DECIMAL_MIN_DIGITS estimated digits,
+on exact Decimal: ``pell_fast_term`` and ``binet_term`` (``eval --method
+fast`` and ``--method binet``, ``bench --method fast``) switch backends;
+``pell_binet``, ``gen_binet`` and ``pell_fast`` stay on int.  ``print_stream``
+makes the same switch for the recurrence: once a term passes STR_MAX_BITS it
+walks on Decimal, whose ``str()`` is linear.  Every route is exact.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
-from .digits import DECIMAL_MIN_DIGITS, EXACT
+from .digits import DECIMAL_MIN_DIGITS, EXACT, STR_MAX_BITS, to_decimal
 
 DEFAULT_GUARD_N = 10_000_000
 BLOCK_BITS = 60  # the blocked recurrence's coefficients stay below 2**BLOCK_BITS
@@ -184,22 +191,62 @@ def prefix(kind: SeqKind, params: SeqParams, count: int) -> list[int]:
     return list(islice(term_stream(kind, params), count))
 
 
-def _root_power(d, e: int):
-    """(x, y) with (1 + sqrt(d))**e = x + y*sqrt(d), by square-and-multiply in Z[sqrt(d)].
+def _root_power(d, e: int, coord: int | None = None):
+    """(x, y) with (1 + sqrt(d))**e = x + y*sqrt(d), or only x (coord 0) or y (coord 1).
 
-    For e >= 1 the pair takes the number type of d: int, or Decimal under
-    the EXACT context.  The bits of e are read from the most significant
-    down, so each step squares the pair and a set bit multiplies it by
-    1 + sqrt(d), which takes additions and a small multiple only.  y*y is
-    formed before it is scaled by d, so that int and libmpdec both take their
-    squaring path.
+    Square-and-multiply in Z[sqrt(d)], reading the bits of e from the most
+    significant down.  Products become squarings through the norm
+    (Takahashi, IPL 75, 2000): the loop carries q = (1-d)**m = (-k)**m, m
+    being the exponent read so far, and since x**2 - d*y**2 = q a doubling is
+
+        x' = 2d*y**2 + q,    y' = (x+y)**2 - (d+1)*y**2 - q,    q' = q**2.
+
+    A set bit multiplies by 1 + sqrt(d): x + d*y, x + y and q*(1-d), all
+    additions and small multiples.  The last bit skips q**2 and forms only
+    what the caller reads: the pair by the steps above, y as 2xy (e even) or
+    2y*(x + d*y) + q (e odd), x as 2d*y**2 + q or 2d*y*(x + y) + q.
+
+    For e >= 2 the values take the number type of d: int, or Decimal under
+    the EXACT context.  A square is formed as s*s of one operand, so that int
+    and libmpdec both take their squaring path.
     """
-    x, y = 1, 0
-    for shift in range(e.bit_length() - 1, -1, -1):
-        x, y = x * x + d * (y * y), 2 * x * y
+    if e < 2:
+        pair = (1, e)
+        return pair if coord is None else pair[coord]
+    d2, d1, norm = 2 * d, d + 1, 1 - d
+    x = y = d**0  # the top bit of e: 1 + sqrt(d), with 1 in the number type of d
+    q = norm
+    for shift in range(e.bit_length() - 2, 0, -1):
+        yy = y * y
+        y += x  # x + y: the old x and y die before the next square
+        x = d2 * yy + q
+        y = y * y - d1 * yy - q
+        q = q * q
         if (e >> shift) & 1:
-            x, y = x + d * y, x + y
-    return x, y
+            x, y, q = x + d * y, x + y, q * norm
+    odd = e & 1
+    if coord is None:
+        yy = y * y
+        y += x
+        x = d2 * yy + q
+        y = y * y - d1 * yy - q
+        return (x + d * y, x + y) if odd else (x, y)
+    if coord:
+        return 2 * y * (x + d * y) + q if odd else 2 * x * y
+    return d2 * y * (x + y) + q if odd else d2 * (y * y) + q
+
+
+def _root_term(k: int, n: int, coord: int) -> int | Decimal:
+    """Coordinate ``coord`` of (1 + sqrt(1+k))**n, on exact Decimal for a huge term.
+
+    Past DECIMAL_MIN_DIGITS estimated digits the engine runs on Decimal under
+    the EXACT context, where libmpdec's transform multiplication beats int's
+    Karatsuba and ``str()`` is linear.
+    """
+    if estimated_digits(k, n) <= DECIMAL_MIN_DIGITS:
+        return _root_power(1 + k, n, coord)
+    with localcontext(EXACT):
+        return _root_power(Decimal(1 + k), n, coord)
 
 
 def pell_binet(k: int, n: int) -> int:
@@ -211,13 +258,28 @@ def pell_binet(k: int, n: int) -> int:
     """
     _check_index(n)
     _check_k(k)
-    return _root_power(1 + k, n)[1]
+    return _root_power(1 + k, n, 1)
 
 
 def gen_binet(params: SeqParams, n: int) -> int:
     """G by root powers: a * (r1**n + r2**n) / 2, in integers: a*x, as for pell_binet."""
     _check_index(n)
-    return params.a * _root_power(1 + params.k, n)[0]
+    return params.a * _root_power(1 + params.k, n, 0)
+
+
+def binet_term(kind: SeqKind, params: SeqParams, n: int) -> int | Decimal:
+    """pell_binet's or gen_binet's value, or an exact Decimal for a huge term.
+
+    The backend is chosen as in ``pell_fast_term``; print the result with
+    ``str()`` or ``digits.to_str``, and reduce it only under EXACT.
+    """
+    _check_index(n)
+    if kind is SeqKind.PELL:
+        return _root_term(params.k, n, 1)
+    if kind is not SeqKind.GEN_PELL:
+        raise ValueError(f"Binet forms exist for kinds P and G only, got {kind.value}")
+    with localcontext(EXACT):
+        return params.a * _root_term(params.k, n, 0)
 
 
 def _check_k(k: int) -> None:
@@ -226,7 +288,7 @@ def _check_k(k: int) -> None:
 
 
 def pell_fast(k: int, n: int) -> tuple[int, int]:
-    """(P_n, P_{n+1}) in O(log n) big-integer multiplications (Takahashi, IPL 75, 2000)."""
+    """(P_n, P_{n+1}) in O(log n) big-integer squarings (Takahashi, IPL 75, 2000)."""
     _check_k(k)
     _check_index(n)
     x, y = _root_power(1 + k, n)
@@ -236,14 +298,31 @@ def pell_fast(k: int, n: int) -> tuple[int, int]:
 def pell_fast_term(k: int, n: int) -> int | Decimal:
     """P_n in O(log n): pell_fast's int, or an exact Decimal for a huge term.
 
-    Past DECIMAL_MIN_DIGITS estimated digits the engine runs on Decimal under
-    the EXACT context, where libmpdec's transform multiplication beats int's
-    Karatsuba and ``str()`` is linear.  Print the result with ``str()`` or
-    ``digits.to_str``; reduce it only under EXACT.
+    Only P_n is formed on the last bit.  Past DECIMAL_MIN_DIGITS estimated
+    digits the engine runs on Decimal (see ``_root_term``).  Print the result
+    with ``str()`` or ``digits.to_str``; reduce it only under EXACT.
     """
     _check_k(k)
     _check_index(n)
-    if estimated_digits(k, n) <= DECIMAL_MIN_DIGITS:
-        return pell_fast(k, n)[0]
-    with localcontext(EXACT):
-        return _root_power(Decimal(1 + k), n)[1]
+    return _root_term(k, n, 1)
+
+
+def print_stream(kind: SeqKind, params: SeqParams) -> Iterator[int | Decimal]:
+    """term_stream's values, each ready for a linear-time ``str()``.
+
+    Terms stay ints while they fit STR_MAX_BITS.  Then the pair is converted
+    once by ``to_decimal`` and the walk goes on in exact Decimal, where a
+    step is an addition and a small multiple, instead of converting every
+    later term from scratch.
+    """
+    prev, cur = initial_pair(kind, params)
+    k = params.k
+    while cur.bit_length() <= STR_MAX_BITS:
+        yield prev
+        prev, cur = cur, 2 * cur + k * prev
+    # Context methods: a localcontext held across the yields would leak EXACT
+    # into the caller.
+    prev, cur = to_decimal(prev), to_decimal(cur)
+    while True:
+        yield prev
+        prev, cur = cur, EXACT.fma(k, prev, EXACT.add(cur, cur))

@@ -5,7 +5,8 @@ CheckResult rather than asserting, so callers can render counterexamples.
 ``run_suite`` sweeps selected checks over a parameter grid and reports
 per-identity pass/fail counts.  Both run the same body per identity: a
 ``check_*`` call feeds it terms read one at a time through ``term``, a sweep
-feeds it integer prefixes, each (kind, k, a) one built once and shared.  The two
+feeds it integer prefixes, each (kind, k, a) one built once and shared, and
+d'Ocagne's root powers, each k's list computed once.  The two
 eigenvalue checks are floating-point cross-checks and are therefore *not* part
 of the ``"all"`` selection, whose checks are exact; they must be selected by
 name.
@@ -71,9 +72,14 @@ class _Walk:
 _Terms = list[int] | _Walk
 
 
+# The root powers r1**e = x + y*sqrt(1+k) of k as pairs (x, y), indexed by e:
+# a list from e = 0 in a sweep, like a prefix; one entry in a single check.
+_ROOTS = "roots"
+
+
 # The bodies: both sides of one identity, read from the terms G (generalized,
 # k and a) and P (Pell, k) that precede ``params``: a shared prefix in a sweep,
-# a _Walk in a single check.
+# a _Walk in a single check.  d'Ocagne also reads the root powers R of k.
 
 
 def _catalan(G: _Terms, params: SeqParams, n: int, r: int) -> CheckResult:
@@ -90,12 +96,14 @@ def _cassini(G: _Terms, params: SeqParams, n: int) -> CheckResult:
     return CheckResult("cassini", {"a": a, "k": k, "n": n}, lhs, rhs)
 
 
-def _docagne(G: _Terms, params: SeqParams, m: int, n: int) -> CheckResult:
+def _docagne(
+    G: _Terms, R: Sequence[tuple] | Mapping[int, tuple], params: SeqParams, m: int, n: int
+) -> CheckResult:
     a, k = params.a, params.k
     d = 1 + k
     lhs = QuadNum(G[m] * G[n + 1] - G[m + 1] * G[n], 0, d)
     # s*sqrt(d)*(G_{m-n} - a*(x + y*sqrt(d))), with s = a*(-k)**n and r1**(m-n) = x + y*sqrt(d)
-    x, y = _root_power(d, m - n)
+    x, y = R[m - n]
     s = a * (-k) ** n
     rhs = QuadNum(-s * a * y * d, s * (G[m - n] - a * x), d)
     return CheckResult("docagne", {"a": a, "k": k, "m": m, "n": n}, lhs, rhs)
@@ -193,11 +201,12 @@ class _Identity(NamedTuple):
     """One registry entry: the prefixes a body reads and how it is swept.
 
     ``body(*prefixes, params, *index)`` takes one prefix per entry of
-    ``kinds``; ``top(n_max)`` is the largest index the sweep's tuples read.
-    A sweep runs a over the grid only when G is among ``kinds``.
+    ``kinds``, or the root powers of k for the entry ``_ROOTS``; ``top(n_max)``
+    is the largest index the sweep's tuples read.  A sweep runs a over the
+    grid only when G is among ``kinds``.
     """
 
-    kinds: tuple[SeqKind, ...]
+    kinds: tuple[SeqKind | str, ...]
     top: Callable[[int], int]
     indices: Callable[[int, int], list[tuple]]
     body: Callable[..., CheckResult]
@@ -209,7 +218,7 @@ _G, _P = (SeqKind.GEN_PELL,), (SeqKind.PELL,)
 _REGISTRY: dict[str, _Identity] = {
     "catalan": _Identity(_G, lambda n: 2 * n, _triangle, _catalan),
     "cassini": _Identity(_G, lambda n: n + 1, _singles, _cassini),
-    "docagne": _Identity(_G, lambda n: n + 1, _below, _docagne),
+    "docagne": _Identity(_G + (_ROOTS,), lambda n: n + 1, _below, _docagne),
     "convolution1": _Identity(_P, lambda n: 2 * n, _square, _convolution1),
     "convolution2": _Identity(_P, lambda n: 2 * n, _square, _convolution2),
     # the squares read plain prefixes, which the O(n) guard does not cover
@@ -253,7 +262,8 @@ def check_docagne(params: SeqParams, m: int, n: int) -> CheckResult:
     """
     if not (isinstance(m, int) and isinstance(n, int) and m > n >= 0):
         raise ValueError(f"need m > n >= 0, got m={m!r}, n={n!r}")
-    return _docagne(_Walk(SeqKind.GEN_PELL, params), params, m, n)
+    root = {m - n: _root_power(1 + params.k, m - n)}
+    return _docagne(_Walk(SeqKind.GEN_PELL, params), root, params, m, n)
 
 
 def check_convolution1(k: int, n: int, m: int) -> CheckResult:
@@ -317,7 +327,7 @@ class SweepGrid(namedtuple("SweepGrid", "k_max a_max n_max")):
 
 
 def _sweep_one(
-    identity: str, grid: SweepGrid, shared: Callable[[SeqKind, SeqParams], list[int]]
+    identity: str, grid: SweepGrid, shared: Callable[..., list]
 ) -> Iterator[CheckResult]:
     entry = _REGISTRY[identity]
     top = entry.top(grid.n_max)
@@ -403,16 +413,22 @@ def run_suite(
     """Run every selected check over the grid; failures are data, not errors.
 
     The prefixes live for this call only: each (kind, k, a) one is computed
-    once, up to the largest index any selected identity reads.
+    once, up to the largest index any selected identity reads, and so is the
+    list of root powers of each k.
     """
     selected = expand_selection(identities)
     top = max((_REGISTRY[name].top(grid.n_max) for name in selected), default=0)
-    prefixes: dict[tuple[SeqKind, SeqParams], list[int]] = {}
+    prefixes: dict[tuple, list] = {}
 
-    def shared(kind: SeqKind, params: SeqParams) -> list[int]:
-        if (kind, params) not in prefixes:
-            prefixes[kind, params] = prefix(kind, params, top + 1)
-        return prefixes[kind, params]
+    def shared(kind: SeqKind | str, params: SeqParams) -> list:
+        # root powers depend on k alone
+        key = (kind, params.k) if kind is _ROOTS else (kind, params)
+        if key not in prefixes:
+            if kind is _ROOTS:
+                prefixes[key] = [_root_power(1 + params.k, e) for e in range(top + 1)]
+            else:
+                prefixes[key] = prefix(kind, params, top + 1)
+        return prefixes[key]
 
     results: list[CheckResult] = []
     for identity in selected:

@@ -8,9 +8,11 @@ is stated inline.  Runtime budgets are asserted, not just wished for.
 import random
 import time
 from contextlib import contextmanager
+from decimal import localcontext
 from fractions import Fraction
 
 from kpell.cli import main
+from kpell.digits import EXACT
 from kpell.closed_forms import eigen_product, gen_double_sum, pell_binomial
 from kpell.quadratic import QuadNum
 from kpell.sequences import (
@@ -19,6 +21,7 @@ from kpell.sequences import (
     gen_binet,
     pell_binet,
     pell_fast,
+    pell_fast_term,
     prefix,
     term,
 )
@@ -228,6 +231,40 @@ def test_criterion_7_recurrence_at_scale():
     params = SeqParams(2, 3)
     with criterion("criterion-7 recurrence at n=2*10^5", budget_s=1.2):
         assert term(SeqKind.GEN_PELL, params, 200_000) == gen_binet(params, 200_000)
+
+
+def _pell_mod(k, n, mod):
+    """P_n mod ``mod`` from [[2, k], [1, 0]]**n, squared in small integers."""
+    a, b, c, d = 1, 0, 0, 1  # the running power [[a, b], [c, d]]
+    m = (2, k, 1, 0)
+    while n:
+        if n & 1:
+            a, b, c, d = (
+                (a * m[0] + b * m[2]) % mod, (a * m[1] + b * m[3]) % mod,
+                (c * m[0] + d * m[2]) % mod, (c * m[1] + d * m[3]) % mod,
+            )
+        m = (
+            (m[0] * m[0] + m[1] * m[2]) % mod, (m[0] * m[1] + m[1] * m[3]) % mod,
+            (m[2] * m[0] + m[3] * m[2]) % mod, (m[2] * m[1] + m[3] * m[3]) % mod,
+        )
+        n >>= 1
+    return c
+
+
+def test_criterion_7_decimal_doubling_budget():
+    # P_n at n = 3.2*10^6 has ~1.2 million digits.  Two squarings per bit and
+    # one product on the last take 0.12-0.15 s; three products per bit took
+    # 0.24-0.27 s (CPython 3.11.7, 2-CPU x86-64 VM).  Best of three runs.
+    n, times = 3_200_000, []
+    for _ in range(3):
+        start = time.perf_counter()
+        value = pell_fast_term(1, n)
+        times.append(time.perf_counter() - start)
+    with criterion("criterion-7 Decimal doubling at n=3.2*10^6", budget_s=None):
+        assert min(times) < 0.18, f"pell_fast_term(1, 3.2*10^6) took {min(times):.3f}s"
+        with localcontext(EXACT):
+            digest = int(value % (1 << 64))
+        assert digest == _pell_mod(1, n, 1 << 64)
 
 
 def _random_quad(rng, d):

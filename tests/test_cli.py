@@ -1,13 +1,14 @@
 import hashlib
 import json
 import time
+from itertools import islice
 
 import pytest
 
 from kpell import cli
 from kpell.cli import main
-from kpell.digits import DECIMAL_MIN_DIGITS
-from kpell.sequences import estimated_digits
+from kpell.digits import DECIMAL_MIN_DIGITS, STR_MAX_BITS, to_str
+from kpell.sequences import SeqKind, SeqParams, estimated_digits, term_stream
 
 
 def run(capsys, *argv):
@@ -21,6 +22,23 @@ class TestTable:
         code, out, err = run(capsys, "table", "--kind", "P", "--k", "2", "--n-max", "5")
         assert code == 0 and err == ""
         assert out.splitlines() == ["0\t0", "1\t1", "2\t2", "3\t6", "4\t16", "5\t44"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_numeric_rows_past_the_print_threshold(self, capsys, fmt):
+        # At k = 2**59 a term passes STR_MAX_BITS near n = 475; the table walks on in Decimal.
+        k, n_max = 2**59, 520
+        terms = list(islice(term_stream(SeqKind.PELL, SeqParams(k)), n_max + 1))
+        assert terms[-1].bit_length() > STR_MAX_BITS + 1000
+        want = [to_str(v) for v in terms]
+        code, out, _ = run(
+            capsys, "table", "--kind", "P", "--k", str(k), "--n-max", str(n_max), "--format", fmt
+        )
+        assert code == 0
+        if fmt == "json":
+            rows = [row["value"] for row in json.loads(out)["rows"]]
+        else:
+            rows = [line.split("\t")[1] for line in out.splitlines()]
+        assert rows == want
 
     def test_symbolic_pell(self, capsys):
         code, out, _ = run(capsys, "table", "--kind", "P", "--symbolic", "--n-max", "3")
@@ -143,7 +161,7 @@ class TestEval:
         assert "n >= 3" in err
 
     def test_cross_check_catches_bad_route(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "pell_binet", lambda k, n: 999)
+        monkeypatch.setattr(cli, "binet_term", lambda kind, params, n: 999)
         code, _, err = run(
             capsys, "eval", "--kind", "P", "--k", "1", "--n", "6", "--method", "binet"
         )
@@ -175,6 +193,17 @@ class TestEval:
         assert code == 0
         _, rec_out, _ = run(capsys, *argv)
         assert fast_out == rec_out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("kind", [("P",), ("G", "--a", "3")])
+    def test_decimal_binet_route_matches_recurrence(self, capsys, kind, fmt):
+        n = 30_011  # past the cross-check limit, so only this test compares them
+        assert n > cli.CROSS_CHECK_LIMIT and estimated_digits(2, n) > DECIMAL_MIN_DIGITS
+        argv = ["eval", "--kind", *kind, "--k", "2", "--n", str(n), "--format", fmt]
+        code, binet_out, _ = run(capsys, *argv, "--method", "binet")
+        assert code == 0
+        _, rec_out, _ = run(capsys, *argv)
+        assert binet_out == rec_out
 
     def test_guard_trips_recurrence(self, capsys, monkeypatch):
         monkeypatch.setenv("KPELL_GUARD_N", "50")

@@ -16,16 +16,20 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 MINORS = ("3.10", "3.12", "3.13")
 # bench and eval run the doubling loop on Decimal; bench prints a digest, eval
-# every digit.  The blocked recurrence runs in eval (printed through to_str)
-# and in bench.  Binet runs in integers at a perfect-square 1+k = 4, and the
-# CLI cross-checks it against the recurrence.  verify renders QuadNum and Fraction sides, k = 3 among them;
-# matrix renders the inverse's reduced ratio cells; table renders symbolic rows.
+# every digit, for the fast route and for Binet on P and G.  The blocked
+# recurrence runs in eval (printed through to_str) and in bench.  Binet runs
+# in integers at a perfect-square 1+k = 4, and the CLI cross-checks it against
+# the recurrence.  verify renders QuadNum and Fraction sides, k = 3 among
+# them; matrix renders the inverse's reduced ratio cells; table renders
+# symbolic rows.
 COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("bench", "--k", "1", "--n", "100000", "--method", "recurrence"),
     ("eval", "--kind", "G", "--k", "2", "--a", "3", "--n", "60000"),
     ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast"),
     ("eval", "--kind", "G", "--k", "3", "--a", "2", "--n", "5000", "--method", "binet"),
+    ("eval", "--kind", "P", "--k", "2", "--n", "30011", "--method", "binet"),
+    ("eval", "--kind", "G", "--k", "5", "--a", "3", "--n", "30011", "--method", "binet"),
     ("eval", "--kind", "P", "--k", "1", "--n", "5000", "--method", "binomial"),
     ("eval", "--kind", "G", "--k", "2", "--a", "3", "--n", "5001", "--method", "double-sum"),
     ("verify", "--k-max", "4", "--a-max", "2", "--n-max", "10", "--format", "json"),

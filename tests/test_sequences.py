@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpell.digits import DECIMAL_MIN_DIGITS, EXACT
+from kpell.digits import DECIMAL_MIN_DIGITS, EXACT, STR_MAX_BITS, to_str
 from kpell.quadratic import QuadNum
 from kpell.sequences import (
     DEFAULT_GUARD_N,
     SeqKind,
     SeqParams,
+    binet_term,
     gen_binet,
     initial_pair,
     pell_binet,
@@ -19,6 +20,7 @@ from kpell.sequences import (
     pell_fast,
     pell_fast_term,
     prefix,
+    print_stream,
     recurrence_guard,
     _block,
     _root_power,
@@ -205,6 +207,19 @@ class TestRootPower:
             x, y = _root_power(d, e)
             assert x * x - d * y * y == (1 - d) ** e
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 9, 16, 2**59 + 1])
+    @pytest.mark.parametrize("backend", [int, Decimal])
+    def test_one_coordinate_equals_the_pair(self, d, backend):
+        x, y = 1, 0  # (1 + sqrt(d))**e, one multiplication at a time
+        with localcontext(EXACT):
+            for e in range(257):
+                pair = _root_power(backend(d), e)
+                coords = _root_power(backend(d), e, 0), _root_power(backend(d), e, 1)
+                assert pair == coords == (x, y), e
+                if e >= 2:
+                    assert all(type(v) is backend for v in pair + coords), e
+                x, y = x + d * y, x + y
+
     @pytest.mark.parametrize("k", [1, 5])
     def test_decimal_pair_equals_int_pair(self, k):
         n = 30_011
@@ -213,6 +228,60 @@ class TestRootPower:
             pair = _root_power(Decimal(1 + k), n)
             assert all(isinstance(v, Decimal) for v in pair)
             assert pair == _root_power(1 + k, n)
+
+
+class TestBinetTerm:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_small_terms_stay_int(self, k):
+        params = SeqParams(k, 3)
+        assert estimated_digits(k, 1000) < DECIMAL_MIN_DIGITS
+        value = binet_term(SeqKind.PELL, params, 1000)
+        assert type(value) is int and value == pell_binet(k, 1000)
+        value = binet_term(SeqKind.GEN_PELL, params, 1000)
+        assert type(value) is int and value == gen_binet(params, 1000)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])  # 1+k = 4 is a square
+    def test_huge_terms_are_exact_decimals(self, k, int_str_limit):
+        int_str_limit(0)
+        n, params = 40_001, SeqParams(k, 3)
+        assert estimated_digits(k, n) > DECIMAL_MIN_DIGITS
+        value = binet_term(SeqKind.PELL, params, n)
+        assert isinstance(value, Decimal) and str(value) == str(pell_binet(k, n))
+        value = binet_term(SeqKind.GEN_PELL, params, n)
+        assert isinstance(value, Decimal) and str(value) == str(gen_binet(params, n))
+
+    def test_other_kinds_and_bad_index_are_refused(self):
+        for kind in (SeqKind.PELL_LUCAS, SeqKind.MODIFIED_PELL):
+            with pytest.raises(ValueError, match="P and G"):
+                binet_term(kind, SeqParams(1), 5)
+        with pytest.raises(ValueError):
+            binet_term(SeqKind.PELL, SeqParams(1), -1)
+
+
+class TestPrintStream:
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            (SeqKind.PELL, SeqParams(1)),
+            (SeqKind.GEN_PELL, SeqParams(2, 3)),
+            (SeqKind.PELL_LUCAS, SeqParams(2**59)),
+        ],
+    )
+    def test_equals_term_stream_across_the_switch(self, kind, params):
+        # Row n stays an int while term n+1 fits STR_MAX_BITS, then Decimal.
+        terms = term_stream(kind, params)
+        value, after = next(terms), next(terms)
+        past = 0
+        for shown in print_stream(kind, params):
+            fits = after.bit_length() <= STR_MAX_BITS
+            assert type(shown) is (int if fits else Decimal)
+            assert shown == value
+            if not fits:
+                assert str(shown) == to_str(value)
+                past += 1
+                if past == 40:
+                    break
+            value, after = after, next(terms)
 
 
 class TestConversions:
