@@ -47,7 +47,6 @@ _EXPORTS = {
         "gen_pell_cofactor",
         "pell_cofactor",
         "theta_phi",
-        "tridiag_apply",
         "usmani_inverse",
     ),
     "verify": (

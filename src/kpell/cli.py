@@ -25,7 +25,6 @@ from .sequences import (
     SeqKind,
     SeqParams,
     binet_term,
-    pell_fast_term,
     print_stream,
     term,
 )
@@ -106,7 +105,7 @@ def _eval_dispatch(kind: SeqKind, params: SeqParams, n: int, method: str) -> int
     if method == "fast":
         if kind is not SeqKind.PELL:
             raise ValueError("--method fast applies to kind P only")
-        return pell_fast_term(params.k, n)
+        return binet_term(kind, params, n)
     if method == "binet":
         if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
             raise ValueError("--method binet applies to kinds P and G only")
@@ -213,13 +212,13 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             _emit_json(
                 {
                     "n": args.n,
-                    "theta": [str(x) for x in tp.theta],
-                    "phi": [str(x) for x in tp.phi],
+                    "theta": [to_str(x) for x in tp.theta],
+                    "phi": [to_str(x) for x in tp.phi],
                 }
             )
         else:
-            print("theta:", " ".join(str(x) for x in tp.theta))
-            print("phi:  ", " ".join(str(x) for x in tp.phi))
+            print("theta:", " ".join(map(to_str, tp.theta)))
+            print("phi:  ", " ".join(map(to_str, tp.phi)))
         return 0
     det = 1
     if args.show == "matrix":
@@ -268,7 +267,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for run in range(args.repeat):
         start = time.perf_counter()
         if args.method == "fast":
-            value = pell_fast_term(args.k, args.n)
+            value = binet_term(SeqKind.PELL, params, args.n)
         else:
             value = term(SeqKind.PELL, params, args.n)
         elapsed = time.perf_counter() - start

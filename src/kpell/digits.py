@@ -11,7 +11,7 @@ lifts ``sys.set_int_max_str_digits``.  So a value is printed by ``to_str``:
   Decimal is linear.
 
 A term estimated to pass DECIMAL_MIN_DIGITS is better computed as a Decimal in
-the first place (``sequences.pell_fast_term``): libmpdec multiplies large
+the first place (``sequences.binet_term``): libmpdec multiplies large
 operands with a number-theoretic transform, and the digits then cost nothing
 to write.  All Decimal arithmetic runs under EXACT, which traps any rounding,
 so a Decimal here is always an exact integer.  Never call ``int()`` on a large

@@ -34,9 +34,9 @@ The engine carries the norm q = x**2 - d*y**2 = (-k)**m of the exponent m
 read so far, so that a doubling takes two squarings of the pair and one of q
 instead of three products, and the last bit forms only the coordinate the
 caller reads.  It runs on int or, past DECIMAL_MIN_DIGITS estimated digits,
-on exact Decimal: ``pell_fast_term`` and ``binet_term`` (``eval --method
-fast`` and ``--method binet``, ``bench --method fast``) switch backends;
-``pell_binet``, ``gen_binet`` and ``pell_fast`` stay on int.  ``print_stream``
+on exact Decimal: ``binet_term`` (``eval --method fast`` and ``--method
+binet``, ``bench --method fast``) switches backends; ``pell_binet``,
+``gen_binet`` and ``pell_fast`` stay on int.  ``print_stream``
 makes the same switch for the recurrence: once a term passes STR_MAX_BITS it
 walks on Decimal, whose ``str()`` is linear.  Every route is exact.
 """
@@ -236,19 +236,6 @@ def _root_power(d, e: int, coord: int | None = None):
     return d2 * y * (x + y) + q if odd else d2 * (y * y) + q
 
 
-def _root_term(k: int, n: int, coord: int) -> int | Decimal:
-    """Coordinate ``coord`` of (1 + sqrt(1+k))**n, on exact Decimal for a huge term.
-
-    Past DECIMAL_MIN_DIGITS estimated digits the engine runs on Decimal under
-    the EXACT context, where libmpdec's transform multiplication beats int's
-    Karatsuba and ``str()`` is linear.
-    """
-    if estimated_digits(k, n) <= DECIMAL_MIN_DIGITS:
-        return _root_power(1 + k, n, coord)
-    with localcontext(EXACT):
-        return _root_power(Decimal(1 + k), n, coord)
-
-
 def pell_binet(k: int, n: int) -> int:
     """P by root powers: (r1**n - r2**n) / (r1 - r2), in integers.
 
@@ -268,18 +255,24 @@ def gen_binet(params: SeqParams, n: int) -> int:
 
 
 def binet_term(kind: SeqKind, params: SeqParams, n: int) -> int | Decimal:
-    """pell_binet's or gen_binet's value, or an exact Decimal for a huge term.
+    """P_n or G_n by root powers: pell_binet's or gen_binet's int, or an exact
+    Decimal for a huge term.
 
-    The backend is chosen as in ``pell_fast_term``; print the result with
-    ``str()`` or ``digits.to_str``, and reduce it only under EXACT.
+    Past DECIMAL_MIN_DIGITS estimated digits the engine runs on Decimal under
+    the EXACT context, where libmpdec's transform multiplication beats int's
+    Karatsuba and ``str()`` is linear.  Print the result with ``str()`` or
+    ``digits.to_str``; reduce it only under EXACT.
     """
     _check_index(n)
-    if kind is SeqKind.PELL:
-        return _root_term(params.k, n, 1)
-    if kind is not SeqKind.GEN_PELL:
+    if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
         raise ValueError(f"Binet forms exist for kinds P and G only, got {kind.value}")
+    d = 1 + params.k
     with localcontext(EXACT):
-        return params.a * _root_term(params.k, n, 0)
+        if estimated_digits(params.k, n) > DECIMAL_MIN_DIGITS:
+            d = Decimal(d)
+        if kind is SeqKind.PELL:
+            return _root_power(d, n, 1)
+        return params.a * _root_power(d, n, 0)
 
 
 def _check_k(k: int) -> None:
@@ -293,18 +286,6 @@ def pell_fast(k: int, n: int) -> tuple[int, int]:
     _check_index(n)
     x, y = _root_power(1 + k, n)
     return y, x + y
-
-
-def pell_fast_term(k: int, n: int) -> int | Decimal:
-    """P_n in O(log n): pell_fast's int, or an exact Decimal for a huge term.
-
-    Only P_n is formed on the last bit.  Past DECIMAL_MIN_DIGITS estimated
-    digits the engine runs on Decimal (see ``_root_term``).  Print the result
-    with ``str()`` or ``digits.to_str``; reduce it only under EXACT.
-    """
-    _check_k(k)
-    _check_index(n)
-    return _root_term(k, n, 1)
 
 
 def print_stream(kind: SeqKind, params: SeqParams) -> Iterator[int | Decimal]:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+from .digits import to_str
 from .sequences import SeqKind, SeqParams
 
 Entry = int | Fraction
@@ -63,18 +64,6 @@ class Tridiag:
     def sub(self) -> tuple[Entry, ...]:
         return self._sub
 
-    def entry(self, i: int, j: int) -> Entry:
-        """The (i, j) entry, 1-indexed; zero outside the three bands."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"({i}, {j}) outside 1..{self.n}")
-        if i == j:
-            return self._diag[i - 1]
-        if j == i + 1:
-            return self._sup[i - 1]
-        if j == i - 1:
-            return self._sub[j - 1]
-        return 0
-
     def to_dense(self) -> "DenseMat":
         """The n x n matrix, each row of zeros filled in from the bands."""
         n = self.n
@@ -121,12 +110,6 @@ class DenseMat:
         m._rows = tuple(map(tuple, rows))
         return m
 
-    @classmethod
-    def identity(cls, n: int) -> "DenseMat":
-        if n < 1:
-            raise ValueError(f"order must be >= 1, got {n}")
-        return cls._of_checked([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def n(self) -> int:
         return len(self._rows)
@@ -134,22 +117,6 @@ class DenseMat:
     @property
     def rows(self) -> tuple[tuple[Entry, ...], ...]:
         return self._rows
-
-    def entry(self, i: int, j: int) -> Entry:
-        """The (i, j) entry, 1-indexed."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"({i}, {j}) outside 1..{self.n}")
-        return self._rows[i - 1][j - 1]
-
-    def __mul__(self, other: object) -> "DenseMat":
-        if not isinstance(other, DenseMat):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"order mismatch: {self.n} vs {other.n}")
-        cols = list(zip(*other._rows))
-        return DenseMat._of_checked(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DenseMat):
@@ -167,21 +134,11 @@ class ThetaPhi(namedtuple("ThetaPhi", "theta phi")):
     """Leading and trailing continuants of a tridiagonal matrix.
 
     theta[i] is the determinant of the leading i x i principal minor
-    (theta[0] = 1); phi is indexed so that phi_at(j) is the determinant of
-    the trailing minor on rows/columns j..n (phi_at(n+1) = 1).
+    (theta[0] = 1); phi[j-1] is the determinant of the trailing minor on
+    rows/columns j..n (phi[n] = 1).
     """
 
     __slots__ = ()
-
-    def theta_at(self, i: int) -> Entry:
-        if not 0 <= i < len(self.theta):
-            raise IndexError(f"theta index {i} outside 0..{len(self.theta) - 1}")
-        return self.theta[i]
-
-    def phi_at(self, j: int) -> Entry:
-        if not 1 <= j <= len(self.phi):
-            raise IndexError(f"phi index {j} outside 1..{len(self.phi)}")
-        return self.phi[j - 1]
 
     @property
     def determinant(self) -> Entry:
@@ -272,25 +229,6 @@ def usmani_inverse(t: Tridiag) -> DenseMat:
     return DenseMat._of_checked([[Fraction(x, det) for x in row] for row in adjugate(t).rows])
 
 
-def tridiag_apply(t: Tridiag, m: DenseMat) -> DenseMat:
-    """The product t @ m in O(n^2), using the band structure of t."""
-    n = t.n
-    if m.n != n:
-        raise ValueError(f"order mismatch: {n} vs {m.n}")
-    rows = m.rows
-    out: list[list[Entry]] = []
-    for i in range(n):
-        acc = [t.diag[i] * x for x in rows[i]]
-        if i > 0:
-            c = t.sub[i - 1]
-            acc = [s + c * x for s, x in zip(acc, rows[i - 1])]
-        if i < n - 1:
-            b = t.sup[i]
-            acc = [s + b * x for s, x in zip(acc, rows[i + 1])]
-        out.append(acc)
-    return DenseMat._of_checked(out)
-
-
 def _cofactors(kind: SeqKind, k: int, a: int, n: int) -> DenseMat:
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"cofactor matrices need n >= 2, got {n!r}")
@@ -347,28 +285,28 @@ def bareiss_det(m: DenseMat) -> int:
     return sign * a[-1][-1]
 
 
-def entry_strings(m: DenseMat | Tridiag, det: int = 1) -> list[list[str]]:
+def entry_strings(m: DenseMat, det: int = 1) -> list[list[str]]:
     """All entries as exact decimal/ratio strings, row-major.
 
     With an integer ``det`` the entries of an integer matrix are divided by
     it, each printed as ``str(Fraction(x, det))`` would be but without
     building one: reduced by one gcd, the sign on the numerator, and no
     ``/1``.  ``entry_strings(adjugate(t), det_continuant(t))`` prints the
-    cells of ``usmani_inverse(t)``.
+    cells of ``usmani_inverse(t)``.  Integers print through ``to_str``, so
+    an integer matrix never needs Python's int->str digit limit lifted.
     """
-    dense = m.to_dense() if isinstance(m, Tridiag) else m
     if det == 1:
-        return [[str(x) for x in row] for row in dense.rows]
+        return [[to_str(x) for x in row] for row in m.rows]
     if det == 0:
         raise ZeroDivisionError("entries divided by a zero determinant")
     sign = -1 if det < 0 else 1
     cells = []
-    for row in dense.rows:
+    for row in m.rows:
         out = []
         for x in row:
             g = gcd(x, det) * sign
             num, den = x // g, det // g
-            out.append(str(num) if den == 1 else f"{num}/{den}")
+            out.append(to_str(num) if den == 1 else f"{to_str(num)}/{to_str(den)}")
         cells.append(out)
     return cells
 

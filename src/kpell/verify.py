@@ -18,7 +18,6 @@ from collections import namedtuple
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .digits import to_str
-from .quadratic import QuadNum
 from .sequences import SeqKind, SeqParams, _root_power, guard_index, prefix, term
 
 
@@ -101,11 +100,16 @@ def _docagne(
 ) -> CheckResult:
     a, k = params.a, params.k
     d = 1 + k
-    lhs = QuadNum(G[m] * G[n + 1] - G[m + 1] * G[n], 0, d)
+    lhs = G[m] * G[n + 1] - G[m + 1] * G[n]
     # s*sqrt(d)*(G_{m-n} - a*(x + y*sqrt(d))), with s = a*(-k)**n and r1**(m-n) = x + y*sqrt(d)
     x, y = R[m - n]
     s = a * (-k) ** n
-    rhs = QuadNum(-s * a * y * d, s * (G[m - n] - a * x), d)
+    rhs = -s * a * y * d
+    root_coeff = s * (G[m - n] - a * x)  # zero whenever the identity holds
+    if root_coeff:
+        from .quadratic import QuadNum
+
+        rhs = QuadNum(rhs, root_coeff, d)
     return CheckResult("docagne", {"a": a, "k": k, "m": m, "n": n}, lhs, rhs)
 
 
@@ -257,8 +261,8 @@ def check_docagne(params: SeqParams, m: int, n: int) -> CheckResult:
 
     The right side is a*(-1)**n * k**n * sqrt(1+k) * (G_{m-n} - a*r1**(m-n)),
     irrational termwise for non-square 1+k.  It is evaluated in integers, with
-    r1**(m-n) as a pair in Z[sqrt(1+k)]; both sides are returned as exact
-    QuadNum values.
+    r1**(m-n) as a pair in Z[sqrt(1+k)].  Both sides are ints, except a right
+    side with a nonzero sqrt(1+k) part, which is returned as a QuadNum.
     """
     if not (isinstance(m, int) and isinstance(n, int) and m > n >= 0):
         raise ValueError(f"need m > n >= 0, got m={m!r}, n={n!r}")

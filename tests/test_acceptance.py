@@ -20,8 +20,8 @@ from kpell.sequences import (
     SeqParams,
     gen_binet,
     pell_binet,
+    binet_term,
     pell_fast,
-    pell_fast_term,
     prefix,
     term,
 )
@@ -33,11 +33,15 @@ from kpell.tridiagonal import (
     gen_matrix,
     gen_pell_cofactor,
     pell_cofactor,
-    tridiag_apply,
     usmani_inverse,
 )
 from kpell.verify import SweepGrid, check_docagne, run_suite
-from test_tridiagonal import paper_gen_cofactor, paper_pell_cofactor
+from test_tridiagonal import (
+    band_times,
+    paper_gen_cofactor,
+    paper_pell_cofactor,
+    scaled_identity,
+)
 
 SEED = 20260818
 
@@ -167,8 +171,7 @@ def test_criterion_5_inverse_and_cofactor_machinery():
                     for n in range(1, 31):
                         t = gen_matrix(kind, params, n)
                         adj, det = adjugate(t), det_continuant(t)
-                        scaled = [[det if i == j else 0 for j in range(n)] for i in range(n)]
-                        assert tridiag_apply(t, adj) == DenseMat(scaled)
+                        assert band_times(t, adj) == scaled_identity(n, det)
                         inv = usmani_inverse(t)
                         assert inv == _divided(adj.rows, det)
                         if kind is SeqKind.PELL:
@@ -255,13 +258,13 @@ def test_criterion_7_decimal_doubling_budget():
     # P_n at n = 3.2*10^6 has ~1.2 million digits.  Two squarings per bit and
     # one product on the last take 0.12-0.15 s; three products per bit took
     # 0.24-0.27 s (CPython 3.11.7, 2-CPU x86-64 VM).  Best of three runs.
-    n, times = 3_200_000, []
+    n, params, times = 3_200_000, SeqParams(1), []
     for _ in range(3):
         start = time.perf_counter()
-        value = pell_fast_term(1, n)
+        value = binet_term(SeqKind.PELL, params, n)
         times.append(time.perf_counter() - start)
     with criterion("criterion-7 Decimal doubling at n=3.2*10^6", budget_s=None):
-        assert min(times) < 0.18, f"pell_fast_term(1, 3.2*10^6) took {min(times):.3f}s"
+        assert min(times) < 0.18, f"binet_term(P, k=1, n=3.2*10^6) took {min(times):.3f}s"
         with localcontext(EXACT):
             digest = int(value % (1 << 64))
         assert digest == _pell_mod(1, n, 1 << 64)

@@ -19,8 +19,9 @@ MINORS = ("3.10", "3.12", "3.13")
 # every digit, for the fast route and for Binet on P and G.  The blocked
 # recurrence runs in eval (printed through to_str) and in bench.  Binet runs
 # in integers at a perfect-square 1+k = 4, and the CLI cross-checks it against
-# the recurrence.  verify renders QuadNum and Fraction sides, k = 3 among
-# them; matrix renders the inverse's reduced ratio cells; table renders
+# the recurrence.  verify renders integer sides, k = 3 among them; matrix
+# renders the inverse's reduced ratio cells, and theta-phi continuants of
+# up to 15,341 bits, past STR_MAX_BITS, through to_str; table renders
 # symbolic rows.
 COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
@@ -35,6 +36,7 @@ COMPARED = (
     ("verify", "--k-max", "4", "--a-max", "2", "--n-max", "10", "--format", "json"),
     ("matrix", "--kind", "G", "--k", "2", "--a", "3", "--n", "40", "--show", "inverse",
      "--format", "json"),
+    ("matrix", "--kind", "P", "--k", "576460752303423488", "--n", "520", "--show", "theta-phi"),
     ("table", "--kind", "G", "--symbolic", "--n-max", "60"),
 )
 VERIFY = ("verify", "--k-max", "2", "--a-max", "2", "--n-max", "8")

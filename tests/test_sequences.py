@@ -18,7 +18,6 @@ from kpell.sequences import (
     pell_binet,
     estimated_digits,
     pell_fast,
-    pell_fast_term,
     prefix,
     print_stream,
     recurrence_guard,
@@ -334,22 +333,21 @@ class TestFastDoubling:
         assert v2 == 2 * v + k * u
 
     def test_rejects_bad_args(self):
-        for route in (pell_fast, pell_fast_term):
-            with pytest.raises(ValueError):
-                route(0, 5)
-            with pytest.raises(ValueError):
-                route(1, -1)
+        with pytest.raises(ValueError):
+            pell_fast(0, 5)
+        with pytest.raises(ValueError):
+            pell_fast(1, -1)
 
     def test_small_terms_stay_int(self):
         assert estimated_digits(1, 1000) < DECIMAL_MIN_DIGITS
-        value = pell_fast_term(1, 1000)
+        value = binet_term(SeqKind.PELL, SeqParams(1), 1000)
         assert type(value) is int and value == pell_fast(1, 1000)[0]
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("n", [30_011, 10**6])
     def test_decimal_doubling_digest_matches_int(self, k, n):
         assert estimated_digits(k, n) > DECIMAL_MIN_DIGITS
-        value = pell_fast_term(k, n)
+        value = binet_term(SeqKind.PELL, SeqParams(k), n)
         assert isinstance(value, Decimal)
         with localcontext(EXACT):
             digest = value % (1 << 64)
@@ -358,7 +356,8 @@ class TestFastDoubling:
     @pytest.mark.parametrize("k", [1, 5])
     def test_decimal_doubling_digits_match_int(self, k, int_str_limit):
         int_str_limit(0)
-        assert str(pell_fast_term(k, 40_001)) == str(pell_fast(k, 40_001)[0])
+        value = binet_term(SeqKind.PELL, SeqParams(k), 40_001)
+        assert str(value) == str(pell_fast(k, 40_001)[0])
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 100])

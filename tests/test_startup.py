@@ -26,8 +26,7 @@ EXPORTS = {
     ),
     "tridiagonal": (
         "DenseMat", "ThetaPhi", "Tridiag", "adjugate", "bareiss_det", "det_continuant",
-        "gen_matrix", "gen_pell_cofactor", "pell_cofactor", "theta_phi", "tridiag_apply",
-        "usmani_inverse",
+        "gen_matrix", "gen_pell_cofactor", "pell_cofactor", "theta_phi", "usmani_inverse",
     ),
     "verify": (
         "CheckResult", "SuiteReport", "SweepGrid", "check_cassini", "check_catalan",
@@ -69,6 +68,9 @@ NEVER_FOR_SYMBOLIC = NEVER_FOR_EVAL - {"kpell.closed_forms"}
         (("matrix", "--kind", "P", "--k", "2", "--n", "6", "--show", "inverse",
           "--format", "text"), NEVER_FOR_MATRIX),
         (("verify", "--identities", "cassini", "--n-max", "5"), {"dataclasses", "json"}),
+        # a passing d'Ocagne sweep builds no QuadNum and no Fraction
+        (("verify", "--identities", "docagne", "--n-max", "5"),
+         {"dataclasses", "json", "kpell.quadratic", "fractions"}),
     ],
 )
 def test_subcommand_imports_only_what_it_runs(argv, absent):

@@ -19,7 +19,6 @@ from kpell.tridiagonal import (
     pell_cofactor,
     render_grid,
     theta_phi,
-    tridiag_apply,
     usmani_inverse,
 )
 
@@ -90,6 +89,35 @@ def transpose(dense):
     return DenseMat(zip(*dense.rows))
 
 
+def band_times(t, dense):
+    """The product t @ dense, one row of t's three bands at a time."""
+    rows, n = dense.rows, t.n
+    out = []
+    for i in range(n):
+        acc = [t.diag[i] * x for x in rows[i]]
+        if i > 0:
+            acc = [s + t.sub[i - 1] * x for s, x in zip(acc, rows[i - 1])]
+        if i < n - 1:
+            acc = [s + t.sup[i] * x for s, x in zip(acc, rows[i + 1])]
+        out.append(acc)
+    return DenseMat(out)
+
+
+def scaled_identity(n, c):
+    return DenseMat([[c if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def band_entry(t, i, j):
+    """Entry (i, j), 0-indexed, read off the bands: zero outside them."""
+    if i == j:
+        return t.diag[i]
+    if j == i + 1:
+        return t.sup[i]
+    if j == i - 1:
+        return t.sub[j]
+    return 0
+
+
 def paper_pell_cofactor(k, n):
     """The paper's entrywise matrix of cofactors of the Pell generating matrix.
 
@@ -150,10 +178,7 @@ class TestStructures:
     def test_tridiag_entries(self):
         t = Tridiag((5, 6, 7), (1, 2), (3, 4))
         assert t.n == 3
-        assert t.entry(1, 1) == 5 and t.entry(2, 3) == 2 and t.entry(3, 2) == 4
-        assert t.entry(1, 3) == 0 and t.entry(3, 1) == 0
-        with pytest.raises(IndexError):
-            t.entry(0, 1)
+        assert t.to_dense().rows == ((5, 1, 0), (3, 6, 2), (0, 4, 7))
 
     @pytest.mark.parametrize("n", (1, 2, 3, 7, 40))
     def test_to_dense_matches_entry(self, n):
@@ -166,11 +191,11 @@ class TestStructures:
         t = Tridiag(band(n), band(n - 1), band(n - 1))
         rows = t.to_dense().rows
         assert len(rows) == n
-        for i in range(1, n + 1):
-            assert len(rows[i - 1]) == n
-            for j in range(1, n + 1):
-                cell = rows[i - 1][j - 1]
-                assert cell == t.entry(i, j) and type(cell) is type(t.entry(i, j))
+        for i in range(n):
+            assert len(rows[i]) == n
+            for j in range(n):
+                want = band_entry(t, i, j)
+                assert rows[i][j] == want and type(rows[i][j]) is type(want)
 
     def test_band_length_validation(self):
         with pytest.raises(ValueError):
@@ -190,15 +215,6 @@ class TestStructures:
         with pytest.raises(ValueError):
             DenseMat([])
 
-    def test_identity_and_product(self):
-        eye = DenseMat.identity(3)
-        m = DenseMat([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
-        assert eye * m == m * eye == m
-
-    def test_tridiag_apply_matches_dense_product(self):
-        t = Tridiag((5, 6, 7, 8), (1, 2, 3), (-1, -2, -3))
-        m = DenseMat([[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12], [13, 14, 15, 16]])
-        assert tridiag_apply(t, m) == t.to_dense() * m
 
 
 class TestGeneratingMatrices:
@@ -235,7 +251,7 @@ class TestThetaPhi:
         tp = theta_phi(gen_matrix(SeqKind.PELL, SeqParams(k), n))
         P = prefix(SeqKind.PELL, SeqParams(k), n + 2)
         assert list(tp.theta) == [P[i + 1] for i in range(n + 1)]
-        assert [tp.phi_at(j) for j in range(1, n + 2)] == [P[n - j + 2] for j in range(1, n + 2)]
+        assert list(tp.phi) == [P[n - j + 2] for j in range(1, n + 2)]
 
     def test_gen_continuants(self):
         # theta_0 is 1 by convention; theta_i = G_{i+1} from i = 1 on.
@@ -246,19 +262,12 @@ class TestThetaPhi:
         P = prefix(SeqKind.PELL, params, n + 2)
         assert tp.theta[0] == 1
         assert list(tp.theta[1:]) == [G[i + 1] for i in range(1, n + 1)]
-        assert [tp.phi_at(j) for j in range(2, n + 2)] == [P[n - j + 2] for j in range(2, n + 2)]
-        assert tp.phi_at(1) == G[n + 1] == tp.determinant
+        assert list(tp.phi[1:]) == [P[n - j + 2] for j in range(2, n + 2)]
+        assert tp.phi[0] == G[n + 1] == tp.determinant
 
     def test_determinant_agrees_with_continuant(self):
         t = Tridiag((4, 5, 6, 7), (2, 1, 2), (1, 3, 1))
         assert theta_phi(t).determinant == det_continuant(t) == bareiss_det(t.to_dense())
-
-    def test_index_guards(self):
-        tp = theta_phi(gen_matrix(SeqKind.PELL, SeqParams(1), 3))
-        with pytest.raises(IndexError):
-            tp.theta_at(4)
-        with pytest.raises(IndexError):
-            tp.phi_at(0)
 
 
 class TestUsmaniInverse:
@@ -291,7 +300,7 @@ class TestUsmaniInverse:
                 params = SeqParams(k, a)
                 for n in range(1, 13):
                     t = gen_matrix(kind, params, n)
-                    assert tridiag_apply(t, usmani_inverse(t)) == DenseMat.identity(n)
+                    assert band_times(t, usmani_inverse(t)) == scaled_identity(n, 1)
 
     def test_matches_gaussian_elimination_oracle(self):
         cases = [
@@ -332,9 +341,7 @@ class TestAdjugate:
 
     @given(tridiags())
     def test_product_is_det_times_identity(self, t):
-        det = det_continuant(t)
-        scaled = DenseMat([[det if i == j else 0 for j in range(t.n)] for i in range(t.n)])
-        assert tridiag_apply(t, adjugate(t)) == scaled
+        assert band_times(t, adjugate(t)) == scaled_identity(t.n, det_continuant(t))
 
     def test_integer_bands_give_integer_entries(self):
         for kind in ALL_KINDS:
@@ -358,7 +365,7 @@ class TestCofactorMatrices:
 
     def test_first_row_entry_example(self):
         # entry (1,3) of D_3 is P_{n-j+1} = P_1 = 1, independent of a
-        assert gen_pell_cofactor(SeqParams(1, 2), 3).entry(1, 3) == 1
+        assert gen_pell_cofactor(SeqParams(1, 2), 3).rows[0][2] == 1
 
     def test_needs_order_two(self):
         with pytest.raises(ValueError):
@@ -410,7 +417,7 @@ class TestCofactorMatrices:
 
 class TestBareiss:
     def test_basics(self):
-        assert bareiss_det(DenseMat.identity(3)) == 1
+        assert bareiss_det(scaled_identity(3, 1)) == 1
         assert bareiss_det(DenseMat([[0, 1], [1, 0]])) == -1
         assert bareiss_det(DenseMat([[7]])) == 7
         assert bareiss_det(DenseMat([[1, 2], [2, 4]])) == 0
@@ -443,7 +450,7 @@ def test_entry_strings_and_grid():
     assert cells == [["2/5", "-1/5"], ["1/5", "2/5"]]
     assert render_grid(cells) == "2/5  -1/5\n1/5   2/5"
     t = gen_matrix(SeqKind.GEN_PELL, SeqParams(1, 1), 2)
-    assert entry_strings(t) == [["3", "1"], ["-1", "2"]]
+    assert entry_strings(t.to_dense()) == [["3", "1"], ["-1", "2"]]
 
 
 @pytest.mark.parametrize(
@@ -464,3 +471,13 @@ def test_inverse_cells_print_as_reduced_fractions(t):
 def test_inverse_cells_refuse_a_zero_determinant():
     with pytest.raises(ZeroDivisionError):
         entry_strings(DenseMat([[1, 0], [0, 1]]), 0)
+
+
+def test_entry_strings_past_the_default_digit_limit(int_str_limit):
+    big = 10**5000
+    int_str_limit(4300)
+    cells = entry_strings(Tridiag([big, 1], [1], [1]).to_dense())
+    ratios = entry_strings(DenseMat([[2 * big, 1], [0, -1]]), 3)
+    int_str_limit(0)
+    assert cells == [[str(big), "1"], ["1", "1"]]
+    assert ratios == [[f"{2 * big}/3", "1/3"], ["0", "-1/3"]]

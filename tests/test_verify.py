@@ -71,12 +71,11 @@ class TestSingleChecks:
 
     def test_docagne_example(self):
         # the rhs is built from irrational pieces, but they cancel: both
-        # sides land on the same rational value
+        # sides land on the same integer
         res = check_docagne(SeqParams(2, 1), m=4, n=1)
         assert res.residual_is_zero
-        assert isinstance(res.rhs, QuadNum)
-        assert res.rhs.is_rational
-        assert res.lhs == QuadNum(36)
+        assert res.lhs == res.rhs == 36
+        assert type(res.lhs) is int and type(res.rhs) is int
 
     @given(ks, as_, st.integers(min_value=1, max_value=18), st.data())
     def test_docagne_sweep(self, k, a, m, data):
@@ -94,7 +93,7 @@ class TestSingleChecks:
         for n in range(1, 10):
             doc = check_docagne(params, n + 1, n)
             cas = check_cassini(params, n + 1)
-            assert doc.lhs == QuadNum(-cas.lhs)
+            assert doc.lhs == -cas.lhs
 
     @given(ks, ns, ns)
     def test_convolutions(self, k, n, m):
@@ -189,6 +188,12 @@ class TestResultShape:
         int_str_limit(0)
         assert d["lhs"] == d["rhs"] == str(res.lhs)
         assert len(d["lhs"]) == 4593
+
+    def test_docagne_to_dict_renders_past_the_default_digit_limit(self, int_str_limit):
+        int_str_limit(4300)
+        d = check_docagne(SeqParams(1), 12000, 1).to_dict()
+        assert d["residual_is_zero"] is True and d["lhs"] == d["rhs"]
+        assert len(d["lhs"].lstrip("-")) > 4300
 
     def test_quadratic_sides_serialize_as_text(self):
         res = check_docagne(SeqParams(1, 1), m=2, n=0)
