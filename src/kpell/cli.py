@@ -188,13 +188,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from .tridiagonal import (
-        adjugate,
-        det_continuant,
         entry_strings,
         gen_matrix,
         gen_pell_cofactor,
+        grid_lines,
+        inverse_strings,
         pell_cofactor,
-        render_grid,
         theta_phi,
     )
 
@@ -220,12 +219,11 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             print("theta:", " ".join(map(to_str, tp.theta)))
             print("phi:  ", " ".join(map(to_str, tp.phi)))
         return 0
-    det = 1
     if args.show == "matrix":
-        dense = t.to_dense()
+        cells = entry_strings(t.to_dense())
     elif args.show == "inverse":
         # the cells of usmani_inverse(t), printed without a Fraction per cell
-        dense, det = adjugate(t), det_continuant(t)
+        cells = inverse_strings(t)
     else:
         if args.n < 2:
             return _fail_usage("--show cofactor needs --n >= 2")
@@ -235,11 +233,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             dense = gen_pell_cofactor(params, args.n)
         else:
             return _fail_usage("cofactor matrices exist for kinds P and G only")
-    cells = entry_strings(dense, det)
+        cells = entry_strings(dense)
     if args.format == "json":
         _emit_json({"n": args.n, "entries": cells})
     else:
-        print(render_grid(cells))
+        # one write per row, so the first rows travel while later ones are formatted
+        sys.stdout.writelines(grid_lines(cells))
     return 0
 
 

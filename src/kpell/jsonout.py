@@ -5,7 +5,8 @@ token at a time through nested generators.  ``IndentEncoder`` builds the same
 text by recursion over dicts, lists, strings, ints, bools and None, quoting
 strings with the encoder's own C routine.  Each container's text is one join
 of its parts, so a large value is copied once per nesting level, not once
-per concatenation.  Pass it as ``cls`` to
+per concatenation; a list of strings (a row of matrix cells) is quoted by
+one ``map`` with no recursive call per item.  Pass it as ``cls`` to
 ``json.dumps`` with an integer indent and otherwise default options; a value
 of any other type (or a dict key that is not a string) sends the whole value
 to the stock encoder, so the output is always what the stock encoder gives.
@@ -34,6 +35,10 @@ def _text(value: object, newline: str, unit: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        try:  # a list of strings, quoted by one map
+            return f"[{inner}{sep.join(map(_quote, value))}{newline}]"
+        except TypeError:  # _quote met an item that is not a string
+            pass
         parts = ["[", inner]
         for item in value:
             parts += (_text(item, inner, unit), sep)

@@ -7,25 +7,41 @@ This module computes determinants by three-term continuants, the integer
 adjugate of any tridiagonal matrix from its theta/phi continuants (the inverse
 is adjugate / det, the matrix of cofactors its transpose), and exact integer
 determinants of arbitrary dense matrices by fraction-free elimination.
+
+Grids are printed a row at a time with no Python-level step per cell: each
+adjugate row is a few ``map``/``accumulate`` passes, each row of strings one
+``map(str, row)`` after one size test (``to_str`` only past STR_MAX_BITS).
+An inverse cell x / det is reduced by gcd(x, bound), where ``bound`` divides
+det and is built from the continuants' own gcds with det, so the per-cell
+gcd is small; each distinct denominator is printed once.  ``fractions`` is
+imported only for matrices of fractions.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from itertools import accumulate, repeat
+from math import gcd, lcm, prod
+from operator import add, floordiv, getitem, mul, neg
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .digits import to_str
+from .digits import STR_MAX_BITS, to_str
 from .sequences import SeqKind, SeqParams
 
-Entry = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Entry = int | Fraction
 
 
 def _check_entry(x: object) -> Entry:
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise TypeError(f"exact entries (int or Fraction) required, got {x!r}")
-    return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    from fractions import Fraction  # only matrices of fractions pay for the import
+
+    if isinstance(x, Fraction):
+        return x
+    raise TypeError(f"exact entries (int or Fraction) required, got {x!r}")
 
 
 class Tridiag:
@@ -191,6 +207,26 @@ def theta_phi(t: Tridiag) -> ThetaPhi:
     return ThetaPhi(tuple(theta), tuple(phi))
 
 
+def _adjugate_rows(t: Tridiag, tp: ThetaPhi | None = None) -> Iterator[list[Entry]]:
+    """The rows of ``adjugate(t)``, each made by C-level maps over band runs."""
+    theta, phi = tp or theta_phi(t)
+    n = t.n
+    up = [-b for b in t.sup]
+    # Read from the diagonal leftwards: back_lo[n-1-i:] is -sub[i-1], ..., -sub[0]
+    # and back_theta[n+1-i:] is theta[i-1], ..., theta[0].
+    back_lo = [-c for c in reversed(t.sub)]
+    back_theta = theta[::-1]
+    for i in range(n):
+        # j < i, from j = i-1 down: phi[i+1] * -sub[i-1] * ... * -sub[j] * theta[j]
+        runs = accumulate(back_lo[n - 1 - i:], mul, initial=phi[i + 1])
+        next(runs)
+        row = list(map(mul, runs, back_theta[n + 1 - i:]))
+        row.reverse()
+        # j >= i: theta[i] * -sup[i] * ... * -sup[j-1] * phi[j+1]
+        row += map(mul, accumulate(up[i:], mul, initial=theta[i]), phi[i + 1:])
+        yield row
+
+
 def adjugate(t: Tridiag) -> DenseMat:
     """The adjugate of a tridiagonal matrix: det times its inverse, division-free.
 
@@ -201,28 +237,18 @@ def adjugate(t: Tridiag) -> DenseMat:
         i == j:                               theta_{i-1} * phi_{i+1}
         i > j:  (-1)**(i+j) * c_j*...*c_{i-1} * theta_{j-1} * phi_{i+1}
 
-    Integer bands give integer entries.  Each row (column) carries its signed
-    band run times theta_{i-1} forward, so a cell costs one product with phi.
-    The matrix of cofactors is the transpose.
+    Integer bands give integer entries.  Each row is built by running
+    products of its signed band runs (``itertools.accumulate``) started at a
+    continuant, times the other continuants, so no cell costs a Python-level
+    step.  The matrix of cofactors is the transpose.
     """
-    tp = theta_phi(t)
-    theta, phi = tp.theta, tp.phi  # phi[j] is phi_{j+1}
-    sup, sub = t.sup, t.sub
-    n = t.n
-    out: list[list[Entry]] = [[0] * n for _ in range(n)]
-    for i in range(n):
-        out[i][i] = theta[i] * phi[i + 1]
-        upper = lower = theta[i]
-        for j in range(i + 1, n):
-            upper *= -sup[j - 1]
-            lower *= -sub[j - 1]
-            out[i][j] = upper * phi[j + 1]
-            out[j][i] = lower * phi[j + 1]
-    return DenseMat._of_checked(out)
+    return DenseMat._of_checked(_adjugate_rows(t))
 
 
 def usmani_inverse(t: Tridiag) -> DenseMat:
     """The exact inverse of a nonsingular tridiagonal matrix: adjugate / det."""
+    from fractions import Fraction
+
     det = det_continuant(t)
     if det == 0:
         raise ValueError("matrix is singular")
@@ -260,7 +286,7 @@ def bareiss_det(m: DenseMat) -> int:
     for row in m.rows:
         out_row = []
         for x in row:
-            if isinstance(x, Fraction):
+            if not isinstance(x, int):  # a Fraction
                 if x.denominator != 1:
                     raise ValueError(f"integer entries required, got {x}")
                 x = int(x)
@@ -285,6 +311,29 @@ def bareiss_det(m: DenseMat) -> int:
     return sign * a[-1][-1]
 
 
+def _strings(row: Sequence[Entry]) -> list[str]:
+    """``to_str`` of each entry: ``str()`` unless the row holds an int past STR_MAX_BITS."""
+    top = max(max(row), -min(row))
+    if isinstance(top, int) and top.bit_length() <= STR_MAX_BITS:
+        return list(map(str, row))
+    return list(map(to_str, row))
+
+
+def _ratio_strings(row: Sequence[int], gs: list[int], det: int, suffix: dict[int, str]) -> list[str]:
+    """Each ``x / det`` of ``row`` printed as ``str(Fraction(x, det))``, given
+    ``gs[j] == gcd(row[j], det)``.  ``suffix`` maps a signed divisor g of det
+    to the text after the numerator, ``"/" + to_str(det // g)`` or ``""``; it
+    is shared by all rows, so each distinct denominator is printed once.
+    """
+    if det < 0:  # the sign goes on the numerator
+        gs = list(map(neg, gs))
+    for g in set(gs).difference(suffix):
+        den = det // g
+        suffix[g] = "/" + to_str(den) if den != 1 else ""
+    nums = _strings(list(map(floordiv, row, gs)))
+    return list(map(add, nums, map(suffix.__getitem__, gs)))
+
+
 def entry_strings(m: DenseMat, det: int = 1) -> list[list[str]]:
     """All entries as exact decimal/ratio strings, row-major.
 
@@ -292,27 +341,69 @@ def entry_strings(m: DenseMat, det: int = 1) -> list[list[str]]:
     it, each printed as ``str(Fraction(x, det))`` would be but without
     building one: reduced by one gcd, the sign on the numerator, and no
     ``/1``.  ``entry_strings(adjugate(t), det_continuant(t))`` prints the
-    cells of ``usmani_inverse(t)``.  Integers print through ``to_str``, so
-    an integer matrix never needs Python's int->str digit limit lifted.
+    cells of ``usmani_inverse(t)`` (``inverse_strings(t)`` does it faster).
+    Each row is converted by one ``map``, through ``to_str`` only if the row
+    holds an int past STR_MAX_BITS, so an integer matrix never needs
+    Python's int->str digit limit lifted.
     """
     if det == 1:
-        return [[to_str(x) for x in row] for row in m.rows]
+        return [_strings(row) for row in m.rows]
     if det == 0:
         raise ZeroDivisionError("entries divided by a zero determinant")
-    sign = -1 if det < 0 else 1
+    suffix: dict[int, str] = {}
+    return [_ratio_strings(row, list(map(gcd, row, repeat(det))), det, suffix) for row in m.rows]
+
+
+def inverse_strings(t: Tridiag) -> list[list[str]]:
+    """The cells of ``usmani_inverse(t)`` for integer bands, as ``entry_strings``
+    prints them, with cheaper gcds.
+
+    A cell x = theta[a] * run * phi[b] of the adjugate shares with det only
+    what gcd(theta[a], det) * gcd(run, det) * gcd(phi[b], det) holds, so
+    gcd(x, det) divides ``bound``, built from the lcms of those continuant
+    gcds and the band products, and gcd(x, det) == gcd(x, bound): a smaller
+    gcd.  When every sub entry is -1 (the generating matrices), a cell below
+    the diagonal divides its mirror image above it, whose gcd then bounds
+    its own; when the sup entries are also prime to det, the two gcds are
+    equal and the lower one is copied.
+    """
+    tp = theta_phi(t)
+    theta, phi = tp
+    det = tp.determinant
+    if det == 0:
+        raise ZeroDivisionError("entries divided by a zero determinant")
+    # theta[n] and phi[0] are det itself and appear in no cell
+    continuants = lcm(*map(gcd, theta[:-1], repeat(det))) * lcm(*map(gcd, phi[1:], repeat(det)))
+    bound = gcd(continuants * prod(t.sup) * prod(t.sub), det)
+    mirror = all(c == -1 for c in t.sub)
+    same = mirror and gcd(prod(t.sup), det) == 1
+    uppers: list[list[int]] = []  # uppers[j]: the gcds of row j from its diagonal on
+    suffix: dict[int, str] = {}
     cells = []
-    for row in m.rows:
-        out = []
-        for x in row:
-            g = gcd(x, det) * sign
-            num, den = x // g, det // g
-            out.append(to_str(num) if den == 1 else f"{to_str(num)}/{to_str(den)}")
-        cells.append(out)
+    for i, row in enumerate(_adjugate_rows(t, tp)):
+        if mirror:
+            mirrored = map(getitem, uppers, range(i, 0, -1))  # of cells (j, i), j < i
+            gs = list(mirrored) if same else list(map(gcd, row[:i], mirrored))
+        else:
+            gs = list(map(gcd, row[:i], repeat(bound)))
+        upper = list(map(gcd, row[i:], repeat(bound)))
+        uppers.append(upper)
+        gs += upper
+        cells.append(_ratio_strings(row, gs, det, suffix))
     return cells
+
+
+def grid_lines(rows: Sequence[Sequence[str]]) -> Iterator[str]:
+    """The lines of ``render_grid(rows)``, each ending in a newline.
+
+    A line is one ``map(str.rjust, row, widths)`` joined, so a row costs no
+    Python-level step per cell.
+    """
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        yield "  ".join(map(str.rjust, row, widths)) + "\n"
 
 
 def render_grid(rows: Sequence[Sequence[str]]) -> str:
     """Column-aligned text rendering of a grid of strings."""
-    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
-    return "\n".join(lines)
+    return "".join(grid_lines(rows))[:-1]

@@ -20,9 +20,10 @@ MINORS = ("3.10", "3.12", "3.13")
 # recurrence runs in eval (printed through to_str) and in bench.  Binet runs
 # in integers at a perfect-square 1+k = 4, and the CLI cross-checks it against
 # the recurrence.  verify renders integer sides, k = 3 among them; matrix
-# renders the inverse's reduced ratio cells, and theta-phi continuants of
-# up to 15,341 bits, past STR_MAX_BITS, through to_str; table renders
-# symbolic rows.
+# renders the inverse's reduced ratio cells (their gcds bounded through
+# theta/phi, JSON lists of strings quoted in one pass), a cofactor grid
+# formatted a row at a time, and theta-phi continuants of up to 15,341
+# bits, past STR_MAX_BITS, through to_str; table renders symbolic rows.
 COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("bench", "--k", "1", "--n", "100000", "--method", "recurrence"),
@@ -36,6 +37,9 @@ COMPARED = (
     ("verify", "--k-max", "4", "--a-max", "2", "--n-max", "10", "--format", "json"),
     ("matrix", "--kind", "G", "--k", "2", "--a", "3", "--n", "40", "--show", "inverse",
      "--format", "json"),
+    ("matrix", "--kind", "G", "--k", "2", "--a", "4", "--n", "60", "--show", "inverse",
+     "--format", "json"),
+    ("matrix", "--kind", "P", "--k", "2", "--n", "80", "--show", "cofactor"),
     ("matrix", "--kind", "P", "--k", "576460752303423488", "--n", "520", "--show", "theta-phi"),
     ("table", "--kind", "G", "--symbolic", "--n-max", "60"),
 )

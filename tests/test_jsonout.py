@@ -19,6 +19,13 @@ PAYLOADS = [
     {"big": 10**400, "neg": -(10**30), "zero": 0, "tuple": (1, "two", (3,))},
     [{"identity_name": "cassini", "inputs": {"a": 1, "k": 2, "n": 3}, "lhs": "-36",
       "rhs": "-36", "residual_is_zero": True}],
+    # lists of strings take the one-pass path; mixed and nested ones fall back
+    ["plain", "with \"quotes\"", "back\\slash", "café – \U0001d49c", "\n\t\x00", ""],
+    {"entries": [], "rows": [[], []]},
+    ["2/5", 7, "-1/5", None, True, "x"],
+    [1, 2, "three"],
+    {"n": 2, "entries": [["2/5", "-1/5"], ["1/5", "2/5"]]},
+    [[["a", "b"], ["\\"]], [[]], ["c", ["d"]]],
 ]
 
 
@@ -59,3 +66,16 @@ json_values = st.recursive(
 @given(json_values)
 def test_random_payloads_match(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2)
+
+
+string_lists = st.recursive(
+    st.lists(st.text(), max_size=5),
+    lambda inner: st.lists(inner | st.text() | st.integers(), max_size=4),
+    max_leaves=20,
+)
+
+
+@given(string_lists)
+def test_random_lists_of_strings_match(payload):
+    assert _dumps(payload) == json.dumps(payload, indent=2)
+    assert _dumps({"entries": payload}, 4) == json.dumps({"entries": payload}, indent=4)

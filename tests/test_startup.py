@@ -66,11 +66,14 @@ NEVER_FOR_SYMBOLIC = NEVER_FOR_EVAL - {"kpell.closed_forms"}
         (("eval", "--kind", "P", "--k", "1", "--n", "0"), NEVER_FOR_EVAL),
         (("eval", "--kind", "P", "--k", "2", "--n", "500", "--method", "fast"), NEVER_FOR_EVAL),
         (("matrix", "--kind", "P", "--k", "2", "--n", "6", "--show", "inverse",
-          "--format", "text"), NEVER_FOR_MATRIX),
+          "--format", "text"), NEVER_FOR_MATRIX | {"fractions"}),
         (("verify", "--identities", "cassini", "--n-max", "5"), {"dataclasses", "json"}),
         # a passing d'Ocagne sweep builds no QuadNum and no Fraction
         (("verify", "--identities", "docagne", "--n-max", "5"),
          {"dataclasses", "json", "kpell.quadratic", "fractions"}),
+        # integer grids are printed without fractions
+        *((("matrix", "--kind", "G", "--k", "2", "--a", "3", "--n", "6", "--show", show),
+           NEVER_FOR_MATRIX | {"fractions"}) for show in ("cofactor", "matrix")),
     ],
 )
 def test_subcommand_imports_only_what_it_runs(argv, absent):

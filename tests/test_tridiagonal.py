@@ -16,6 +16,8 @@ from kpell.tridiagonal import (
     entry_strings,
     gen_matrix,
     gen_pell_cofactor,
+    grid_lines,
+    inverse_strings,
     pell_cofactor,
     render_grid,
     theta_phi,
@@ -481,3 +483,86 @@ def test_entry_strings_past_the_default_digit_limit(int_str_limit):
     int_str_limit(0)
     assert cells == [[str(big), "1"], ["1", "1"]]
     assert ratios == [[f"{2 * big}/3", "1/3"], ["0", "-1/3"]]
+
+
+def reduced_cells(t):
+    """The inverse's cells as Fraction prints them, from the integer adjugate."""
+    det = det_continuant(t)
+    return [[str(Fraction(x, det)) for x in row] for row in adjugate(t).rows]
+
+
+@st.composite
+def generating_like(draw, max_n=9):
+    """Integer tridiagonals with sub = -1, the generating matrices' shape, whose
+    lower cells are bounded by their mirror images; bands of both signs."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    small = st.integers(min_value=-12, max_value=12)
+    diag = draw(st.lists(small, min_size=n, max_size=n))
+    sup = draw(st.lists(small, min_size=n - 1, max_size=n - 1))
+    return Tridiag(diag, sup, [-1] * (n - 1))
+
+
+@given(st.one_of(tridiags(max_n=9), generating_like()))
+def test_inverse_strings_print_each_cell_as_fraction_does(t):
+    if det_continuant(t) == 0:
+        with pytest.raises(ZeroDivisionError):
+            inverse_strings(t)
+        return
+    cells = reduced_cells(t)
+    assert inverse_strings(t) == cells
+    assert entry_strings(adjugate(t), det_continuant(t)) == cells
+
+
+@pytest.mark.parametrize(
+    "kind, k, a, n",
+    [(SeqKind.PELL, 1, 1, 35), (SeqKind.PELL, 2, 1, 36), (SeqKind.PELL_LUCAS, 2, 1, 33),
+     (SeqKind.MODIFIED_PELL, 3, 1, 24), (SeqKind.GEN_PELL, 2, 3, 40), (SeqKind.GEN_PELL, 6, 4, 21)],
+)
+def test_inverse_strings_of_generating_matrices(kind, k, a, n):
+    # k even puts a large power of 2 in det; k = 1 makes the sup band prime to det
+    t = gen_matrix(kind, SeqParams(k, a), n)
+    assert inverse_strings(t) == reduced_cells(t)
+
+
+def test_inverse_strings_with_a_negative_determinant():
+    t = Tridiag((-3, 5, 2), (4, 6), (-1, -1))
+    assert det_continuant(t) < 0
+    assert inverse_strings(t) == reduced_cells(t)
+
+
+def test_inverse_strings_refuse_a_zero_determinant():
+    with pytest.raises(ZeroDivisionError):
+        inverse_strings(Tridiag((1, 1), (1,), (1,)))
+
+
+def test_inverse_strings_past_the_default_digit_limit(int_str_limit):
+    big = 10**5000 + 7
+    t = Tridiag((big, 3, big), (2, -1), (-1, -1))
+    int_str_limit(0)
+    want = reduced_cells(t)
+    int_str_limit(4300)
+    cells = inverse_strings(t)
+    grid = entry_strings(adjugate(t), det_continuant(t))
+    mixed = entry_strings(DenseMat([[big, 1], [2, 3]]))
+    int_str_limit(0)
+    assert cells == grid == want
+    assert max(map(len, cells[1])) > 4300
+    assert mixed == [[str(big), "1"], ["2", "3"]]
+
+
+def old_render_grid(rows):
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows)
+
+
+@st.composite
+def string_grids(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    cell = st.text(alphabet="-/0123456789{}ab", max_size=12)
+    return [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@given(string_grids())
+def test_render_grid_matches_rjust_and_join(rows):
+    assert render_grid(rows) == old_render_grid(rows)
+    assert "".join(grid_lines(rows)) == old_render_grid(rows) + "\n"
