@@ -191,9 +191,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         entry_strings,
         gen_matrix,
         gen_pell_cofactor,
-        grid_lines,
         inverse_strings,
         pell_cofactor,
+        render_grid,
         theta_phi,
     )
 
@@ -237,8 +237,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.format == "json":
         _emit_json({"n": args.n, "entries": cells})
     else:
-        # one write per row, so the first rows travel while later ones are formatted
-        sys.stdout.writelines(grid_lines(cells))
+        print(render_grid(cells))
     return 0
 
 

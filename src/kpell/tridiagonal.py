@@ -8,9 +8,10 @@ adjugate of any tridiagonal matrix from its theta/phi continuants (the inverse
 is adjugate / det, the matrix of cofactors its transpose), and exact integer
 determinants of arbitrary dense matrices by fraction-free elimination.
 
-Grids are printed a row at a time with no Python-level step per cell: each
+Grids are made a row at a time with no Python-level step per cell: each
 adjugate row is a few ``map``/``accumulate`` passes, each row of strings one
-``map(str, row)`` after one size test (``to_str`` only past STR_MAX_BITS).
+``map(str, row)`` after one size test (``to_str`` only past STR_MAX_BITS),
+each text line one ``map(str.rjust, row, widths)`` joined.
 An inverse cell x / det is reduced by gcd(x, bound), where ``bound`` divides
 det and is built from the continuants' own gcds with det, so the per-cell
 gcd is small; each distinct denominator is printed once.  ``fractions`` is
@@ -362,10 +363,10 @@ def inverse_strings(t: Tridiag) -> list[list[str]]:
     what gcd(theta[a], det) * gcd(run, det) * gcd(phi[b], det) holds, so
     gcd(x, det) divides ``bound``, built from the lcms of those continuant
     gcds and the band products, and gcd(x, det) == gcd(x, bound): a smaller
-    gcd.  When every sub entry is -1 (the generating matrices), a cell below
-    the diagonal divides its mirror image above it, whose gcd then bounds
-    its own; when the sup entries are also prime to det, the two gcds are
-    equal and the lower one is copied.
+    gcd.  When every sub entry is -1 and the sup entries are prime to det
+    (the generating matrix of P at k = 1, for one), a cell below the
+    diagonal and its mirror image above it differ by a factor prime to det,
+    so the upper cell's gcd is copied.
     """
     tp = theta_phi(t)
     theta, phi = tp
@@ -375,35 +376,23 @@ def inverse_strings(t: Tridiag) -> list[list[str]]:
     # theta[n] and phi[0] are det itself and appear in no cell
     continuants = lcm(*map(gcd, theta[:-1], repeat(det))) * lcm(*map(gcd, phi[1:], repeat(det)))
     bound = gcd(continuants * prod(t.sup) * prod(t.sub), det)
-    mirror = all(c == -1 for c in t.sub)
-    same = mirror and gcd(prod(t.sup), det) == 1
-    uppers: list[list[int]] = []  # uppers[j]: the gcds of row j from its diagonal on
+    same = all(c == -1 for c in t.sub) and gcd(prod(t.sup), det) == 1
+    rows_gs: list[list[int]] = []
     suffix: dict[int, str] = {}
     cells = []
     for i, row in enumerate(_adjugate_rows(t, tp)):
-        if mirror:
-            mirrored = map(getitem, uppers, range(i, 0, -1))  # of cells (j, i), j < i
-            gs = list(mirrored) if same else list(map(gcd, row[:i], mirrored))
+        if same:  # below the diagonal, the gcds of the mirror cells (j, i)
+            gs = list(map(getitem, rows_gs, repeat(i)))
+            gs += map(gcd, row[i:], repeat(bound))
         else:
-            gs = list(map(gcd, row[:i], repeat(bound)))
-        upper = list(map(gcd, row[i:], repeat(bound)))
-        uppers.append(upper)
-        gs += upper
+            gs = list(map(gcd, row, repeat(bound)))
+        rows_gs.append(gs)
         cells.append(_ratio_strings(row, gs, det, suffix))
     return cells
 
 
-def grid_lines(rows: Sequence[Sequence[str]]) -> Iterator[str]:
-    """The lines of ``render_grid(rows)``, each ending in a newline.
-
-    A line is one ``map(str.rjust, row, widths)`` joined, so a row costs no
-    Python-level step per cell.
-    """
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    for row in rows:
-        yield "  ".join(map(str.rjust, row, widths)) + "\n"
-
-
 def render_grid(rows: Sequence[Sequence[str]]) -> str:
-    """Column-aligned text rendering of a grid of strings."""
-    return "".join(grid_lines(rows))[:-1]
+    """Column-aligned text rendering of a grid of strings; each line is one
+    ``map(str.rjust, row, widths)`` joined, with no Python-level step per cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.rjust, row, widths)) for row in rows)

@@ -16,7 +16,6 @@ from kpell.tridiagonal import (
     entry_strings,
     gen_matrix,
     gen_pell_cofactor,
-    grid_lines,
     inverse_strings,
     pell_cofactor,
     render_grid,
@@ -494,7 +493,8 @@ def reduced_cells(t):
 @st.composite
 def generating_like(draw, max_n=9):
     """Integer tridiagonals with sub = -1, the generating matrices' shape, whose
-    lower cells are bounded by their mirror images; bands of both signs."""
+    lower cells copy their mirror images' gcds when sup is prime to det;
+    bands of both signs."""
     n = draw(st.integers(min_value=1, max_value=max_n))
     small = st.integers(min_value=-12, max_value=12)
     diag = draw(st.lists(small, min_size=n, max_size=n))
@@ -565,4 +565,3 @@ def string_grids(draw):
 @given(string_grids())
 def test_render_grid_matches_rjust_and_join(rows):
     assert render_grid(rows) == old_render_grid(rows)
-    assert "".join(grid_lines(rows)) == old_render_grid(rows) + "\n"
