@@ -182,7 +182,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{'total':<16} {report.passed:>8} {report.failed:>8}")
         for failure in report.failures:
             inputs = " ".join(f"{key}={val}" for key, val in failure.inputs.items())
-            print(f"FAIL {failure.identity_name} {inputs} lhs={failure.lhs} rhs={failure.rhs}")
+            lhs, rhs = to_str(failure.lhs), to_str(failure.rhs)
+            print(f"FAIL {failure.identity_name} {inputs} lhs={lhs} rhs={rhs}")
     return 0 if report.all_passed else 1
 
 
@@ -343,8 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # terms can run to hundreds of thousands of digits
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

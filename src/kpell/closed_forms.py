@@ -17,6 +17,7 @@ from collections import namedtuple
 from itertools import zip_longest
 from typing import Iterator, Sequence
 
+from .digits import to_str
 from .sequences import SeqKind, SeqParams, guard_index, term
 
 
@@ -33,8 +34,7 @@ def pell_binomial(k: int, n: int) -> int:
     small integer: O(n) steps of O(digits) work each.  Guarded by
     KPELL_GUARD_N like the recurrence.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    SeqParams(k)  # refuses a bad k
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"the binomial route needs n >= 2, got {n!r}")
     guard_index(n)
@@ -130,7 +130,7 @@ def poly_str(coeffs: Sequence[int], var: str = "k", suffix: str = "") -> str:
         else:
             body = f"{var}^{e}{suffix}"
         mag = abs(c)
-        text = body if (mag == 1 and body) else f"{mag}{body}"
+        text = body if (mag == 1 and body) else to_str(mag) + body
         if not parts:
             parts.append(text if c > 0 else f"-{text}")
         else:
@@ -159,8 +159,7 @@ def eigenvalues(k: int, n: int, paper_verbatim: bool = False) -> list[complex]:
     For odd n the middle cosine is forced to exactly 0.0, so the one real
     eigenvalue comes out exactly 2.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    SeqParams(k)  # refuses a bad k
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n!r}")
     scale = math.sqrt(k) if paper_verbatim else 2.0 * math.sqrt(k)

@@ -244,7 +244,7 @@ def pell_binet(k: int, n: int) -> int:
     evaluated at the integer sqrt(d), which is nonzero.
     """
     _check_index(n)
-    _check_k(k)
+    SeqParams(k)  # refuses a bad k
     return _root_power(1 + k, n, 1)
 
 
@@ -275,14 +275,9 @@ def binet_term(kind: SeqKind, params: SeqParams, n: int) -> int | Decimal:
         return params.a * _root_power(d, n, 0)
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-
-
 def pell_fast(k: int, n: int) -> tuple[int, int]:
     """(P_n, P_{n+1}) in O(log n) big-integer squarings (Takahashi, IPL 75, 2000)."""
-    _check_k(k)
+    SeqParams(k)  # refuses a bad k
     _check_index(n)
     x, y = _root_power(1 + k, n)
     return y, x + y

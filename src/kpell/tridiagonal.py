@@ -3,24 +3,26 @@
 The n x n generating matrix of each sequence has the sequence's second-order
 weights on a Toeplitz interior (2 on the diagonal, k above, -1 below) and the
 kind-specific pair in its first row; its determinant is the (n+1)-th term.
-This module computes determinants by three-term continuants, the integer
-adjugate of any tridiagonal matrix from its theta/phi continuants (the inverse
-is adjugate / det, the matrix of cofactors its transpose), and exact integer
-determinants of arbitrary dense matrices by fraction-free elimination.
+This module computes determinants by one three-term continuant walk (theta
+over the bands, phi over the reversed bands), the integer adjugate of any
+tridiagonal matrix from its theta/phi continuants (the inverse is adjugate /
+det, the matrix of cofactors its transpose), and exact integer determinants
+of arbitrary dense matrices by fraction-free elimination.
 
 Grids are made a row at a time with no Python-level step per cell: each
 adjugate row is a few ``map``/``accumulate`` passes, each row of strings one
 ``map(str, row)`` after one size test (``to_str`` only past STR_MAX_BITS),
-each text line one ``map(str.rjust, row, widths)`` joined.
-An inverse cell x / det is reduced by gcd(x, bound), where ``bound`` divides
-det and is built from the continuants' own gcds with det, so the per-cell
-gcd is small; each distinct denominator is printed once.  ``fractions`` is
-imported only for matrices of fractions.
+each text line one ``map(str.rjust, row, widths)`` joined.  Inverses are
+printed by ``inverse_strings`` alone: a cell x / det is reduced by
+gcd(x, bound), where ``bound`` divides det and is built from the
+continuants' own gcds with det, so the per-cell gcd is small; each distinct
+denominator is printed once.  ``fractions`` is imported only for matrices
+of fractions.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from itertools import accumulate, repeat
 from math import gcd, lcm, prod
 from operator import add, floordiv, getitem, mul, neg
@@ -185,27 +187,29 @@ def gen_matrix(kind: SeqKind, params: SeqParams, n: int) -> Tridiag:
     return Tridiag(diag, sup, sub)
 
 
+def _continuants(
+    diag: Sequence[Entry], sup: Sequence[Entry], sub: Sequence[Entry]
+) -> Iterator[Entry]:
+    """The leading principal minors theta_0 = 1, theta_1, ..., theta_n of the
+    bands' matrix: theta_i = a_i*theta_{i-1} - b_{i-1}*c_{i-1}*theta_{i-2}."""
+    prev, cur = 1, diag[0]
+    yield prev
+    yield cur
+    for d, b, c in zip(diag[1:], sup, sub):
+        prev, cur = cur, d * cur - b * c * prev
+        yield cur
+
+
 def det_continuant(t: Tridiag) -> Entry:
     """Determinant by the three-term continuant recurrence, O(n) exact ops."""
-    prev: Entry = 1
-    cur: Entry = t.diag[0]
-    for i in range(1, t.n):
-        prev, cur = cur, t.diag[i] * cur - t.sup[i - 1] * t.sub[i - 1] * prev
-    return cur
+    return deque(_continuants(t.diag, t.sup, t.sub), maxlen=1).pop()
 
 
 def theta_phi(t: Tridiag) -> ThetaPhi:
-    """Both continuant families, forward (theta) and backward (phi)."""
-    n = t.n
-    theta: list[Entry] = [1, t.diag[0]]
-    for i in range(2, n + 1):
-        theta.append(t.diag[i - 1] * theta[i - 1] - t.sup[i - 2] * t.sub[i - 2] * theta[i - 2])
-    phi: list[Entry] = [0] * (n + 1)
-    phi[n] = 1
-    phi[n - 1] = t.diag[n - 1]
-    for j in range(n - 1, 0, -1):
-        phi[j - 1] = t.diag[j - 1] * phi[j] - t.sup[j - 1] * t.sub[j - 1] * phi[j + 1]
-    return ThetaPhi(tuple(theta), tuple(phi))
+    """Both continuant families, forward (theta) and backward (phi): phi is
+    the walk over the reversed bands, read back to front."""
+    phi = tuple(_continuants(t.diag[::-1], t.sup[::-1], t.sub[::-1]))[::-1]
+    return ThetaPhi(tuple(_continuants(t.diag, t.sup, t.sub)), phi)
 
 
 def _adjugate_rows(t: Tridiag, tp: ThetaPhi | None = None) -> Iterator[list[Entry]]:
@@ -320,53 +324,31 @@ def _strings(row: Sequence[Entry]) -> list[str]:
     return list(map(to_str, row))
 
 
-def _ratio_strings(row: Sequence[int], gs: list[int], det: int, suffix: dict[int, str]) -> list[str]:
-    """Each ``x / det`` of ``row`` printed as ``str(Fraction(x, det))``, given
-    ``gs[j] == gcd(row[j], det)``.  ``suffix`` maps a signed divisor g of det
-    to the text after the numerator, ``"/" + to_str(det // g)`` or ``""``; it
-    is shared by all rows, so each distinct denominator is printed once.
-    """
-    if det < 0:  # the sign goes on the numerator
-        gs = list(map(neg, gs))
-    for g in set(gs).difference(suffix):
-        den = det // g
-        suffix[g] = "/" + to_str(den) if den != 1 else ""
-    nums = _strings(list(map(floordiv, row, gs)))
-    return list(map(add, nums, map(suffix.__getitem__, gs)))
-
-
-def entry_strings(m: DenseMat, det: int = 1) -> list[list[str]]:
+def entry_strings(m: DenseMat) -> list[list[str]]:
     """All entries as exact decimal/ratio strings, row-major.
 
-    With an integer ``det`` the entries of an integer matrix are divided by
-    it, each printed as ``str(Fraction(x, det))`` would be but without
-    building one: reduced by one gcd, the sign on the numerator, and no
-    ``/1``.  ``entry_strings(adjugate(t), det_continuant(t))`` prints the
-    cells of ``usmani_inverse(t)`` (``inverse_strings(t)`` does it faster).
     Each row is converted by one ``map``, through ``to_str`` only if the row
     holds an int past STR_MAX_BITS, so an integer matrix never needs
     Python's int->str digit limit lifted.
     """
-    if det == 1:
-        return [_strings(row) for row in m.rows]
-    if det == 0:
-        raise ZeroDivisionError("entries divided by a zero determinant")
-    suffix: dict[int, str] = {}
-    return [_ratio_strings(row, list(map(gcd, row, repeat(det))), det, suffix) for row in m.rows]
+    return [_strings(row) for row in m.rows]
 
 
 def inverse_strings(t: Tridiag) -> list[list[str]]:
     """The cells of ``usmani_inverse(t)`` for integer bands, as ``entry_strings``
-    prints them, with cheaper gcds.
+    prints them, without building a Fraction.
 
-    A cell x = theta[a] * run * phi[b] of the adjugate shares with det only
-    what gcd(theta[a], det) * gcd(run, det) * gcd(phi[b], det) holds, so
+    A cell x / det is printed as ``str(Fraction(x, det))`` would be: reduced
+    by gcd(x, det), the sign on the numerator, and no ``/1``.  A cell
+    x = theta[a] * run * phi[b] of the adjugate shares with det only what
+    gcd(theta[a], det) * gcd(run, det) * gcd(phi[b], det) holds, so
     gcd(x, det) divides ``bound``, built from the lcms of those continuant
     gcds and the band products, and gcd(x, det) == gcd(x, bound): a smaller
     gcd.  When every sub entry is -1 and the sup entries are prime to det
     (the generating matrix of P at k = 1, for one), a cell below the
     diagonal and its mirror image above it differ by a factor prime to det,
-    so the upper cell's gcd is copied.
+    so the upper cell's gcd is copied.  Each distinct denominator is
+    printed once.
     """
     tp = theta_phi(t)
     theta, phi = tp
@@ -378,7 +360,7 @@ def inverse_strings(t: Tridiag) -> list[list[str]]:
     bound = gcd(continuants * prod(t.sup) * prod(t.sub), det)
     same = all(c == -1 for c in t.sub) and gcd(prod(t.sup), det) == 1
     rows_gs: list[list[int]] = []
-    suffix: dict[int, str] = {}
+    suffix: dict[int, str] = {}  # g -> the text after the numerator: "/" + |det| // g, or ""
     cells = []
     for i, row in enumerate(_adjugate_rows(t, tp)):
         if same:  # below the diagonal, the gcds of the mirror cells (j, i)
@@ -387,7 +369,13 @@ def inverse_strings(t: Tridiag) -> list[list[str]]:
         else:
             gs = list(map(gcd, row, repeat(bound)))
         rows_gs.append(gs)
-        cells.append(_ratio_strings(row, gs, det, suffix))
+        for g in set(gs).difference(suffix):
+            den = abs(det) // g
+            suffix[g] = "/" + to_str(den) if den != 1 else ""
+        if det < 0:  # the sign goes on the numerator
+            row = list(map(neg, row))
+        nums = _strings(list(map(floordiv, row, gs)))
+        cells.append(list(map(add, nums, map(suffix.__getitem__, gs))))
     return cells
 
 

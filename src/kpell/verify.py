@@ -3,9 +3,11 @@
 Each ``check_*`` function evaluates both sides of one identity and returns a
 CheckResult rather than asserting, so callers can render counterexamples.
 ``run_suite`` sweeps selected checks over a parameter grid and reports
-per-identity pass/fail counts.  Both run the same body per identity: a
-``check_*`` call feeds it terms read one at a time through ``term``, a sweep
-feeds it integer prefixes, each (kind, k, a) one built once and shared, and
+per-identity pass/fail counts.  Both run the identity's registry entry: its
+body and its domain of valid index tuples.  A ``check_*`` call refuses a
+tuple outside the domain and feeds the body terms read one at a time
+through ``term``; a sweep runs every valid tuple in 0..n_max and feeds it
+integer prefixes, each (kind, k, a) one built once and shared, and
 d'Ocagne's root powers, each k's list computed once.  The two
 eigenvalue checks are floating-point cross-checks and are therefore *not* part
 of the ``"all"`` selection, whose checks are exact; they must be selected by
@@ -15,6 +17,7 @@ name.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .digits import to_str
@@ -54,26 +57,29 @@ class CheckResult(namedtuple("CheckResult", "identity_name inputs lhs rhs residu
         }
 
 
+# The root powers r1**e = x + y*sqrt(1+k) of k as pairs (x, y), indexed by e,
+# read like the terms of a kind: a list from e = 0 in a sweep, like a prefix.
+_ROOTS = "roots"
+
+
 class _Walk:
-    """Terms read one at a time through ``term``, for a single check.
+    """Terms read one at a time through ``term``, or root powers through
+    ``_root_power``, for a single check.
 
     A single check reads a handful of indices, so it walks the recurrence
     for each rather than hold a prefix: memory stays flat at large indices.
     """
 
-    def __init__(self, kind: SeqKind, params: SeqParams) -> None:
+    def __init__(self, kind: SeqKind | str, params: SeqParams) -> None:
         self.kind, self.params = kind, params
 
-    def __getitem__(self, n: int) -> int:
+    def __getitem__(self, n: int):
+        if self.kind is _ROOTS:
+            return _root_power(1 + self.params.k, n)
         return term(self.kind, self.params, n)
 
 
-_Terms = list[int] | _Walk
-
-
-# The root powers r1**e = x + y*sqrt(1+k) of k as pairs (x, y), indexed by e:
-# a list from e = 0 in a sweep, like a prefix; one entry in a single check.
-_ROOTS = "roots"
+_Terms = list | _Walk
 
 
 # The bodies: both sides of one identity, read from the terms G (generalized,
@@ -95,9 +101,7 @@ def _cassini(G: _Terms, params: SeqParams, n: int) -> CheckResult:
     return CheckResult("cassini", {"a": a, "k": k, "n": n}, lhs, rhs)
 
 
-def _docagne(
-    G: _Terms, R: Sequence[tuple] | Mapping[int, tuple], params: SeqParams, m: int, n: int
-) -> CheckResult:
+def _docagne(G: _Terms, R: _Terms, params: SeqParams, m: int, n: int) -> CheckResult:
     a, k = params.a, params.k
     d = 1 + k
     lhs = G[m] * G[n + 1] - G[m + 1] * G[n]
@@ -162,14 +166,13 @@ def _cofactor_det(
     return CheckResult("cofactor-dets", inputs, det, base ** (n - 1))
 
 
-def check_eigen(k: int, n: int, paper_verbatim: bool = False) -> CheckResult:
-    """Rounded eigenvalue product against the exact term (floating point)."""
+def _eigen(params: SeqParams, n: int, paper_verbatim: bool) -> CheckResult:
     from .closed_forms import eigen_product
 
-    report = eigen_product(k, n, paper_verbatim)
+    report = eigen_product(params.k, n, paper_verbatim)
     name = "eigen-verbatim" if paper_verbatim else "eigen"
     inputs = {
-        "k": k,
+        "k": params.k,
         "n": n,
         "product": f"{report.product.real:.6f}{report.product.imag:+.6f}i",
         "abs_residual": f"{report.abs_residual:.6f}",
@@ -177,64 +180,64 @@ def check_eigen(k: int, n: int, paper_verbatim: bool = False) -> CheckResult:
     return CheckResult(name, inputs, report.rounded, report.exact)
 
 
-# Index tuples of a sweep at (n_max, a).
-
-
-def _singles(n_max: int, a: int) -> list[tuple]:
-    return [(n,) for n in range(1, n_max + 1)]
-
-
-def _triangle(n_max: int, a: int) -> list[tuple]:
-    return [(n, r) for n in range(1, n_max + 1) for r in range(1, n + 1)]
-
-
-def _square(n_max: int, a: int) -> list[tuple]:
-    return [(n, m) for n in range(1, n_max + 1) for m in range(1, n_max + 1)]
-
-
-def _below(n_max: int, a: int) -> list[tuple]:
-    return [(m, n) for m in range(1, n_max + 1) for n in range(m)]
-
-
-def _matrices(n_max: int, a: int) -> list[tuple]:
-    # C_n does not depend on a, so it is checked at a = 1 only
-    return [(n, c) for n in range(2, min(8, n_max) + 1) for c in ("CD" if a == 1 else "D")]
-
-
 class _Identity(NamedTuple):
-    """One registry entry: the prefixes a body reads and how it is swept.
+    """One registry entry: the prefixes a body reads, its domain and its sweep.
 
     ``body(*prefixes, params, *index)`` takes one prefix per entry of
     ``kinds``, or the root powers of k for the entry ``_ROOTS``; ``top(n_max)``
-    is the largest index the sweep's tuples read.  A sweep runs a over the
-    grid only when G is among ``kinds``.
+    is the largest index the sweep's tuples read.  ``domain`` is a triple
+    (arity, valid, rule): the index tuples are the tuples of ``arity`` ints
+    for which ``valid`` holds, and ``rule``, formatted with any other tuple,
+    is the text of its ValueError.  A sweep runs a over the grid only when
+    G is among ``kinds``.
     """
 
     kinds: tuple[SeqKind | str, ...]
     top: Callable[[int], int]
-    indices: Callable[[int, int], list[tuple]]
+    domain: tuple[int, Callable[..., bool], str]
     body: Callable[..., CheckResult]
     guarded: bool = True  # refuse top past KPELL_GUARD_N, as term() would
+    # what follows each index tuple of a sweep at a: cofactor-dets' matrices
+    tails: Callable[[int], tuple[tuple, ...]] = lambda a: ((),)
+
+    def indices(self, n_max: int, a: int) -> list[tuple]:
+        """A sweep's index tuples: every valid one in 0..n_max, in lexicographic order."""
+        arity, valid, _ = self.domain
+        everything, tails = product(range(n_max + 1), repeat=arity), self.tails(a)
+        return [index + tail for index in everything if valid(*index) for tail in tails]
+
+
+def _matrices(a: int) -> tuple[tuple[str], ...]:
+    # C_n does not depend on a, so it is checked at a = 1 only
+    return (("C",), ("D",)) if a == 1 else (("D",),)
 
 
 _G, _P = (SeqKind.GEN_PELL,), (SeqKind.PELL,)
+# Index domains (arity, valid, rule), named after the indices they take
+_N = (1, lambda n: n >= 1, "need n >= 1, got {0!r}")
+_NR = (2, lambda n, r: n >= r >= 1, "need n >= r >= 1, got n={0!r}, r={1!r}")
+_MN = (2, lambda m, n: m > n >= 0, "need m > n >= 0, got m={0!r}, n={1!r}")
+_NM = (2, lambda n, m: n >= 1 and m >= 1, "need n, m >= 1, got n={0!r}, m={1!r}")
+_NI = (2, lambda n, i: 1 <= i <= n, "need 1 <= i <= n, got i={1!r}, n={0!r}")
+_N8 = (1, lambda n: 2 <= n <= 8, "need 2 <= n <= 8 (bignum growth guard), got {0!r}")
+_ORDER = (1, lambda n: n >= 1, "matrix order must be >= 1, got {0!r}")
 
 _REGISTRY: dict[str, _Identity] = {
-    "catalan": _Identity(_G, lambda n: 2 * n, _triangle, _catalan),
-    "cassini": _Identity(_G, lambda n: n + 1, _singles, _cassini),
-    "docagne": _Identity(_G + (_ROOTS,), lambda n: n + 1, _below, _docagne),
-    "convolution1": _Identity(_P, lambda n: 2 * n, _square, _convolution1),
-    "convolution2": _Identity(_P, lambda n: 2 * n, _square, _convolution2),
-    # the squares read plain prefixes, which the O(n) guard does not cover
-    "squares1": _Identity(_P, lambda n: 2 * n + 1, _singles, _squares1, guarded=False),
-    "squares2": _Identity(_P, lambda n: 2 * n + 1, _singles, _squares2, guarded=False),
-    "partition": _Identity(_G + _P, lambda n: n + 1, _triangle, _partition),
-    "cofactor-dets": _Identity(_G + _P, lambda n: min(8, n) + 1, _matrices, _cofactor_det),
-    # eigen_product reads P_{n+1} through term()
-    "eigen": _Identity((), lambda n: n + 1, _singles, lambda p, n: check_eigen(p.k, n)),
-    "eigen-verbatim": _Identity(
-        (), lambda n: n + 1, _singles, lambda p, n: check_eigen(p.k, n, True)
+    "catalan": _Identity(_G, lambda n: 2 * n, _NR, _catalan),
+    "cassini": _Identity(_G, lambda n: n + 1, _N, _cassini),
+    "docagne": _Identity(_G + (_ROOTS,), lambda n: n + 1, _MN, _docagne),
+    "convolution1": _Identity(_P, lambda n: 2 * n, _NM, _convolution1),
+    "convolution2": _Identity(_P, lambda n: 2 * n, _NM, _convolution2),
+    # the squares' sweep reads plain prefixes, which the O(n) guard does not cover
+    "squares1": _Identity(_P, lambda n: 2 * n + 1, _N, _squares1, guarded=False),
+    "squares2": _Identity(_P, lambda n: 2 * n + 1, _N, _squares2, guarded=False),
+    "partition": _Identity(_G + _P, lambda n: n + 1, _NI, _partition),
+    "cofactor-dets": _Identity(
+        _G + _P, lambda n: min(8, n) + 1, _N8, _cofactor_det, tails=_matrices
     ),
+    # eigen_product reads P_{n+1} through term()
+    "eigen": _Identity((), lambda n: n + 1, _ORDER, lambda p, n: _eigen(p, n, False)),
+    "eigen-verbatim": _Identity((), lambda n: n + 1, _ORDER, lambda p, n: _eigen(p, n, True)),
 }
 
 FLOAT_IDENTITIES: tuple[str, ...] = ("eigen", "eigen-verbatim")
@@ -242,18 +245,24 @@ FLOAT_IDENTITIES: tuple[str, ...] = ("eigen", "eigen-verbatim")
 EXACT_IDENTITIES: tuple[str, ...] = tuple(n for n in _REGISTRY if n not in FLOAT_IDENTITIES)
 
 
+def _check(name: str, params: SeqParams, *index) -> CheckResult:
+    """One identity at one index tuple, in its domain, on terms read through _Walk."""
+    entry = _REGISTRY[name]
+    arity, valid, rule = entry.domain
+    ints = index[:arity]
+    if not (all(isinstance(i, int) for i in ints) and valid(*ints)):
+        raise ValueError(rule.format(*ints))
+    return entry.body(*(_Walk(kind, params) for kind in entry.kinds), params, *index)
+
+
 def check_catalan(params: SeqParams, n: int, r: int) -> CheckResult:
     """G_{n-r}*G_{n+r} - G_n**2 = (-k)**(n-r) * (G_r**2 - a**2*(-k)**r)."""
-    if not (isinstance(n, int) and isinstance(r, int) and n >= r >= 1):
-        raise ValueError(f"need n >= r >= 1, got n={n!r}, r={r!r}")
-    return _catalan(_Walk(SeqKind.GEN_PELL, params), params, n, r)
+    return _check("catalan", params, n, r)
 
 
 def check_cassini(params: SeqParams, n: int) -> CheckResult:
     """G_{n-1}*G_{n+1} - G_n**2 = a**2 * (-k)**(n-1) * (1+k)."""
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"need n >= 1, got {n!r}")
-    return _cassini(_Walk(SeqKind.GEN_PELL, params), params, n)
+    return _check("cassini", params, n)
 
 
 def check_docagne(params: SeqParams, m: int, n: int) -> CheckResult:
@@ -264,26 +273,17 @@ def check_docagne(params: SeqParams, m: int, n: int) -> CheckResult:
     r1**(m-n) as a pair in Z[sqrt(1+k)].  Both sides are ints, except a right
     side with a nonzero sqrt(1+k) part, which is returned as a QuadNum.
     """
-    if not (isinstance(m, int) and isinstance(n, int) and m > n >= 0):
-        raise ValueError(f"need m > n >= 0, got m={m!r}, n={n!r}")
-    root = {m - n: _root_power(1 + params.k, m - n)}
-    return _docagne(_Walk(SeqKind.GEN_PELL, params), root, params, m, n)
+    return _check("docagne", params, m, n)
 
 
 def check_convolution1(k: int, n: int, m: int) -> CheckResult:
     """P_{n+m} = k*P_{n-1}*P_m + P_n*P_{m+1}."""
-    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
-        raise ValueError(f"need n, m >= 1, got n={n!r}, m={m!r}")
-    params = SeqParams(k)
-    return _convolution1(_Walk(SeqKind.PELL, params), params, n, m)
+    return _check("convolution1", SeqParams(k), n, m)
 
 
 def check_convolution2(k: int, n: int, m: int) -> CheckResult:
     """2*P_{n+m} = P_{n+1}*P_{m+1} - k**2*P_{m-1}*P_{n-1}."""
-    if not (isinstance(n, int) and isinstance(m, int) and n >= 1 and m >= 1):
-        raise ValueError(f"need n, m >= 1, got n={n!r}, m={m!r}")
-    params = SeqParams(k)
-    return _convolution2(_Walk(SeqKind.PELL, params), params, n, m)
+    return _check("convolution2", SeqParams(k), n, m)
 
 
 def check_squares(k: int, n: int) -> tuple[CheckResult, CheckResult]:
@@ -291,19 +291,12 @@ def check_squares(k: int, n: int) -> tuple[CheckResult, CheckResult]:
 
     P_{n+1}**2 + k*P_n**2 = P_{2n+1}  and  P_{n+1}**2 - k**2*P_{n-1}**2 = 2*P_{2n}.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise ValueError(f"need n >= 1, got {n!r}")
-    params = SeqParams(k)
-    P = prefix(SeqKind.PELL, params, 2 * n + 2)
-    return _squares1(P, params, n), _squares2(P, params, n)
+    return _check("squares1", SeqParams(k), n), _check("squares2", SeqParams(k), n)
 
 
 def check_partition(params: SeqParams, n: int, i: int) -> CheckResult:
     """G_{n+1} = k*G_i*P_{n-i} + G_{i+1}*P_{n+1-i}, for every 1 <= i <= n."""
-    if not (isinstance(n, int) and isinstance(i, int) and 1 <= i <= n):
-        raise ValueError(f"need 1 <= i <= n, got i={i!r}, n={n!r}")
-    G, P = _Walk(SeqKind.GEN_PELL, params), _Walk(SeqKind.PELL, params)
-    return _partition(G, P, params, n, i)
+    return _check("partition", params, n, i)
 
 
 def check_cofactor_dets(params: SeqParams, n: int) -> tuple[CheckResult, CheckResult]:
@@ -312,10 +305,12 @@ def check_cofactor_dets(params: SeqParams, n: int) -> tuple[CheckResult, CheckRe
     |C_n| = P_{n+1}**(n-1) and |D_n| = G_{n+1}**(n-1), evaluated by exact
     fraction-free elimination on the constructed matrices.
     """
-    if not (isinstance(n, int) and 2 <= n <= 8):
-        raise ValueError(f"need 2 <= n <= 8 (bignum growth guard), got {n!r}")
-    G, P = _Walk(SeqKind.GEN_PELL, params), _Walk(SeqKind.PELL, params)
-    return _cofactor_det(G, P, params, n, "C"), _cofactor_det(G, P, params, n, "D")
+    return _check("cofactor-dets", params, n, "C"), _check("cofactor-dets", params, n, "D")
+
+
+def check_eigen(k: int, n: int, paper_verbatim: bool = False) -> CheckResult:
+    """Rounded eigenvalue product against the exact term (floating point)."""
+    return _check("eigen-verbatim" if paper_verbatim else "eigen", SeqParams(k), n)
 
 
 class SweepGrid(namedtuple("SweepGrid", "k_max a_max n_max")):

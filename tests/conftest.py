@@ -18,8 +18,8 @@ settings.load_profile("det")
 def int_str_limit():
     """Set Python's int->str digit limit for one test; the old limit is restored after it.
 
-    The in-process CLI tests lift the limit for the whole process, so a test
-    that depends on it must set it itself.
+    Neither the library nor ``kpell.cli.main`` changes the limit, so a test
+    runs under the interpreter's default unless it sets the limit itself.
     """
     old = sys.get_int_max_str_digits()
     try:

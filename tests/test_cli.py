@@ -311,6 +311,21 @@ class TestVerify:
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == sha256
 
+    def test_fail_lines_print_past_the_default_digit_limit(
+        self, capsys, monkeypatch, int_str_limit
+    ):
+        from kpell import verify
+        from kpell.verify import CheckResult, SuiteReport
+
+        big = 10**5000
+        wrong = CheckResult("cassini", {"a": 1, "k": 1, "n": 1}, big, -big)
+        monkeypatch.setattr(verify, "run_suite", lambda grid, names: SuiteReport((wrong,)))
+        int_str_limit(4300)
+        code, out, _ = run(capsys, "verify", "--identities", "cassini")
+        int_str_limit(0)
+        assert code == 1
+        assert out.splitlines()[-1] == f"FAIL cassini a=1 k=1 n=1 lhs={big} rhs={-big}"
+
     def test_guard_refuses_sweep(self, capsys, monkeypatch):
         # catalan reads G_{2n}: index 60 here, past the guard of 50
         monkeypatch.setenv("KPELL_GUARD_N", "50")
@@ -484,6 +499,17 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", ["--k", "--n"])
+    def test_integers_past_the_default_digit_limit_exit_two(self, capsys, int_str_limit, option):
+        # main leaves Python's int->str digit limit as it is, so argparse refuses the string
+        argv = ["eval", "--kind", "P", "--k", "1", "--n", "5"]
+        argv[argv.index(option) + 1] = "1" * 4301
+        int_str_limit(4300)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid int value" in capsys.readouterr().err
 
     def test_bad_choice_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

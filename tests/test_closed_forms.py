@@ -183,6 +183,13 @@ class TestPolyStr:
         assert poly_str((4, -1)) == "-k + 4"
         assert poly_str((0, -2, 3)) == "3k^2 - 2k"
 
+    def test_coefficients_past_the_default_digit_limit(self, int_str_limit):
+        big = 10**5000 + 3
+        int_str_limit(4300)
+        text = poly_str((-big, big), "k", "a")
+        int_str_limit(0)
+        assert text == f"{big}ka - {big}a"
+
 
 class TestEigen:
     def test_corrected_two_by_two(self):

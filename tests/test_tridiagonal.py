@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -245,6 +246,18 @@ class TestGeneratingMatrices:
                 for n in range(1, 41):
                     assert det_continuant(gen_matrix(kind, params, n)) == terms[n + 1]
 
+    def test_determinant_holds_no_continuant_list(self):
+        # all 20,000 continuants of this matrix would hold about 30 MB
+        t = gen_matrix(SeqKind.PELL, SeqParams(1), 20_000)
+        tracemalloc.start()
+        try:
+            det = det_continuant(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert det == term(SeqKind.PELL, SeqParams(1), 20_001)
+        assert peak < 1_000_000
+
 
 class TestThetaPhi:
     def test_pell_continuants_are_pell_terms(self):
@@ -463,25 +476,16 @@ def test_entry_strings_and_grid():
 def test_inverse_cells_print_as_reduced_fractions(t):
     # the cells straight from the integer adjugate, divided by a determinant of either sign
     det = det_continuant(t)
-    assert entry_strings(adjugate(t), det) == entry_strings(usmani_inverse(t))
-    assert entry_strings(adjugate(t), det) == [
-        [str(Fraction(x, det)) for x in row] for row in adjugate(t).rows
-    ]
-
-
-def test_inverse_cells_refuse_a_zero_determinant():
-    with pytest.raises(ZeroDivisionError):
-        entry_strings(DenseMat([[1, 0], [0, 1]]), 0)
+    assert inverse_strings(t) == entry_strings(usmani_inverse(t))
+    assert inverse_strings(t) == [[str(Fraction(x, det)) for x in row] for row in adjugate(t).rows]
 
 
 def test_entry_strings_past_the_default_digit_limit(int_str_limit):
     big = 10**5000
     int_str_limit(4300)
     cells = entry_strings(Tridiag([big, 1], [1], [1]).to_dense())
-    ratios = entry_strings(DenseMat([[2 * big, 1], [0, -1]]), 3)
     int_str_limit(0)
     assert cells == [[str(big), "1"], ["1", "1"]]
-    assert ratios == [[f"{2 * big}/3", "1/3"], ["0", "-1/3"]]
 
 
 def reduced_cells(t):
@@ -510,7 +514,7 @@ def test_inverse_strings_print_each_cell_as_fraction_does(t):
         return
     cells = reduced_cells(t)
     assert inverse_strings(t) == cells
-    assert entry_strings(adjugate(t), det_continuant(t)) == cells
+    assert entry_strings(usmani_inverse(t)) == cells
 
 
 @pytest.mark.parametrize(
@@ -535,17 +539,28 @@ def test_inverse_strings_refuse_a_zero_determinant():
         inverse_strings(Tridiag((1, 1), (1,), (1,)))
 
 
+def test_inverse_cells_refuse_a_zero_determinant():
+    # singular tridiagonals of orders 1 and 3, beside the order-2 one above
+    for t in (Tridiag((0,)), Tridiag((2, 3, 2), (1, 5), (1, 1))):
+        assert det_continuant(t) == 0
+        with pytest.raises(ZeroDivisionError):
+            inverse_strings(t)
+
+
 def test_inverse_strings_past_the_default_digit_limit(int_str_limit):
     big = 10**5000 + 7
     t = Tridiag((big, 3, big), (2, -1), (-1, -1))
     int_str_limit(0)
+    over_three = Tridiag((1, big + 3), (big,), (1,))  # det 3: huge numerators over 3
     want = reduced_cells(t)
+    ratios = [[f"{big + 3}/3", f"-{big}/3"], ["-1/3", "1/3"]]
     int_str_limit(4300)
     cells = inverse_strings(t)
-    grid = entry_strings(adjugate(t), det_continuant(t))
+    small = inverse_strings(over_three)
     mixed = entry_strings(DenseMat([[big, 1], [2, 3]]))
     int_str_limit(0)
-    assert cells == grid == want
+    assert cells == want
+    assert small == ratios == reduced_cells(over_three)
     assert max(map(len, cells[1])) > 4300
     assert mixed == [[str(big), "1"], ["2", "3"]]
 

@@ -404,6 +404,77 @@ class TestSharedPrefixes:
         assert run_suite(SweepGrid(n_max=1), ("cofactor-dets",)).results == ()
 
 
+_PAIRS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
+_SQUARE = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
+_SINGLES = [(1,), (2,), (3,)]
+# Each identity's sweep index tuples at n_max = 3, for a = 1 and for a = 2.
+SWEEP_INDICES = {
+    "catalan": (_PAIRS, _PAIRS),
+    "cassini": (_SINGLES, _SINGLES),
+    "docagne": ([(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)],) * 2,
+    "convolution1": (_SQUARE, _SQUARE),
+    "convolution2": (_SQUARE, _SQUARE),
+    "squares1": (_SINGLES, _SINGLES),
+    "squares2": (_SINGLES, _SINGLES),
+    "partition": (_PAIRS, _PAIRS),
+    "cofactor-dets": ([(2, "C"), (2, "D"), (3, "C"), (3, "D")], [(2, "D"), (3, "D")]),
+    "eigen": (_SINGLES, _SINGLES),
+    "eigen-verbatim": (_SINGLES, _SINGLES),
+}
+
+# (check, the arguments before the indices, indices just inside the domain,
+# indices just outside it, and the ValueError text of the first of those)
+CHECK_DOMAINS = [
+    (check_catalan, (SeqParams(1, 2),), (2, 2), [(2, 3), (2, 0)],
+     "need n >= r >= 1, got n=2, r=3"),
+    (check_cassini, (SeqParams(1, 2),), (1,), [(0,)], "need n >= 1, got 0"),
+    (check_docagne, (SeqParams(1, 2),), (1, 0), [(1, 1), (1, -1)],
+     "need m > n >= 0, got m=1, n=1"),
+    (check_convolution1, (2,), (1, 1), [(0, 1), (1, 0)], "need n, m >= 1, got n=0, m=1"),
+    (check_convolution2, (2,), (1, 1), [(1, 0), (0, 1)], "need n, m >= 1, got n=1, m=0"),
+    (check_squares, (2,), (1,), [(0,)], "need n >= 1, got 0"),
+    (check_partition, (SeqParams(1, 2),), (2, 2), [(2, 3), (2, 0)],
+     "need 1 <= i <= n, got i=3, n=2"),
+    (check_cofactor_dets, (SeqParams(1, 2),), (8,), [(9,), (1,)],
+     "need 2 <= n <= 8 (bignum growth guard), got 9"),
+    (check_eigen, (2,), (1,), [(0,)], "matrix order must be >= 1, got 0"),
+]
+
+
+class TestRegistry:
+    """Each identity states its domain once: the sweep's index tuples and the checks' ValueError."""
+
+    def test_every_identity_is_pinned(self):
+        assert list(SWEEP_INDICES) == list(verify._REGISTRY)
+
+    @pytest.mark.parametrize("identity", SWEEP_INDICES)
+    def test_sweep_indices_are_pinned(self, identity):
+        entry = verify._REGISTRY[identity]
+        assert [entry.indices(3, a) for a in (1, 2)] == list(SWEEP_INDICES[identity])
+
+    @pytest.mark.parametrize(
+        "check, before, inside, outside, message",
+        CHECK_DOMAINS,
+        ids=[domain[0].__name__ for domain in CHECK_DOMAINS],
+    )
+    def test_checks_refuse_indices_outside_their_domain(
+        self, check, before, inside, outside, message
+    ):
+        result = check(*before, *inside)
+        for res in (result,) if isinstance(result, CheckResult) else result:
+            assert res.residual_is_zero
+        with pytest.raises(ValueError) as refused:
+            check(*before, *outside[0])
+        assert str(refused.value) == message
+        for index in outside[1:]:
+            with pytest.raises(ValueError):
+                check(*before, *index)
+        for pos in range(len(inside)):  # each index in turn as a float, then a string
+            for wrong in (float(inside[pos]), str(inside[pos])):
+                with pytest.raises(ValueError):
+                    check(*before, *inside[:pos], wrong, *inside[pos + 1:])
+
+
 class TestIntegerDocagne:
     def test_matches_the_quadnum_formula(self):
         for k in (1, 2, 3, 5, 8, 15):
