@@ -79,10 +79,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         if args.k is None:
             return _fail_usage("numeric tables need --k (or pass --symbolic)")
-        try:
-            params = _parse_params(args, kind)
-        except ValueError as exc:
-            return _fail_usage(str(exc))
+        params = _parse_params(args, kind)
         values = map(str, islice(print_stream(kind, params), args.n_max + 1))
     # Rows are rendered as they are printed, so text output never holds them all.
     if args.format == "json":
@@ -133,11 +130,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     kind = KINDS[args.kind]
     if args.n < 0:
         return _fail_usage("--n must be >= 0")
-    try:
-        params = _parse_params(args, kind)
-        value = _eval_dispatch(kind, params, args.n, args.method)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    params = _parse_params(args, kind)
+    value = _eval_dispatch(kind, params, args.n, args.method)
     text = to_str(value)
     if args.method != "recurrence" and args.n <= CROSS_CHECK_LIMIT:
         # Compared as digits: the fast and Binet routes may hand back a Decimal.
@@ -167,11 +161,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = tuple(part.strip() for part in args.identities.split(",") if part.strip())
     if not names:
         return _fail_usage("--identities must name at least one identity")
-    try:
-        expand_selection(names)
-        grid = SweepGrid(k_max=args.k_max, a_max=args.a_max, n_max=args.n_max)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    expand_selection(names)  # an unknown name is reported before a bad grid
+    grid = SweepGrid(k_max=args.k_max, a_max=args.a_max, n_max=args.n_max)
     report = run_suite(grid, names)
     if args.format == "json":
         _emit_json(report.to_dict())
@@ -201,10 +192,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     kind = KINDS[args.kind]
     if args.n < 1:
         return _fail_usage("--n must be >= 1")
-    try:
-        params = _parse_params(args, kind)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    params = _parse_params(args, kind)
     t = gen_matrix(kind, params, args.n)
     if args.show == "theta-phi":
         tp = theta_phi(t)
@@ -247,10 +235,7 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
         return _fail_usage("--k and --n must be >= 1")
     from .closed_forms import eigen_product
 
-    try:
-        report = eigen_product(args.k, args.n, args.paper_verbatim)
-    except ValueError as exc:
-        return _fail_usage(str(exc))
+    report = eigen_product(args.k, args.n, args.paper_verbatim)
     print(f"product: {report.product.real:.6f} {report.product.imag:+.6f}i")
     print(f"rounded: {report.rounded}")
     print(f"exact:   {report.exact}")
@@ -345,6 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # the one route from a library ValueError to a usage error, exit 2
     try:
         return args.func(args)
     except ValueError as exc:

@@ -47,106 +47,67 @@ def _check_entry(x: object) -> Entry:
     raise TypeError(f"exact entries (int or Fraction) required, got {x!r}")
 
 
-class Tridiag:
+class Tridiag(namedtuple("Tridiag", "diag sup sub")):
     """A tridiagonal matrix stored as its three bands, 1-indexed like
     the usual a_i / b_i / c_i notation: diag holds a_1..a_n, sup holds
     b_1..b_{n-1}, sub holds c_1..c_{n-1}."""
 
-    __slots__ = ("_diag", "_sup", "_sub")
+    __slots__ = ()
 
-    def __init__(self, diag: Iterable[Entry], sup: Iterable[Entry] = (), sub: Iterable[Entry] = ()):
-        self._diag = tuple(_check_entry(x) for x in diag)
-        self._sup = tuple(_check_entry(x) for x in sup)
-        self._sub = tuple(_check_entry(x) for x in sub)
-        n = len(self._diag)
+    def __new__(
+        cls, diag: Iterable[Entry], sup: Iterable[Entry] = (), sub: Iterable[Entry] = ()
+    ) -> Tridiag:
+        diag, sup, sub = (tuple(map(_check_entry, band)) for band in (diag, sup, sub))
+        n = len(diag)
         if n < 1:
             raise ValueError("a tridiagonal matrix needs at least one row")
-        if len(self._sup) != n - 1 or len(self._sub) != n - 1:
+        if len(sup) != n - 1 or len(sub) != n - 1:
             raise ValueError(
                 f"band lengths must be {n - 1} for order {n}, "
-                f"got sup={len(self._sup)}, sub={len(self._sub)}"
+                f"got sup={len(sup)}, sub={len(sub)}"
             )
+        return super().__new__(cls, diag, sup, sub)
 
     @property
     def n(self) -> int:
-        return len(self._diag)
+        return len(self.diag)
 
-    @property
-    def diag(self) -> tuple[Entry, ...]:
-        return self._diag
-
-    @property
-    def sup(self) -> tuple[Entry, ...]:
-        return self._sup
-
-    @property
-    def sub(self) -> tuple[Entry, ...]:
-        return self._sub
-
-    def to_dense(self) -> "DenseMat":
+    def to_dense(self) -> DenseMat:
         """The n x n matrix, each row of zeros filled in from the bands."""
         n = self.n
         rows = [[0] * n for _ in range(n)]
-        for i, d in enumerate(self._diag):
+        for i, d in enumerate(self.diag):
             rows[i][i] = d
-        for i, (b, c) in enumerate(zip(self._sup, self._sub)):
+        for i, (b, c) in enumerate(zip(self.sup, self.sub)):
             rows[i][i + 1], rows[i + 1][i] = b, c
         return DenseMat._of_checked(rows)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tridiag):
-            return NotImplemented
-        return (self._diag, self._sup, self._sub) == (other._diag, other._sup, other._sub)
 
-    def __hash__(self) -> int:
-        return hash((self._diag, self._sup, self._sub))
-
-    def __repr__(self) -> str:
-        return f"Tridiag(diag={self._diag!r}, sup={self._sup!r}, sub={self._sub!r})"
-
-
-class DenseMat:
+class DenseMat(namedtuple("DenseMat", "rows")):
     """A small square matrix of exact entries (int or Fraction)."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[Iterable[Entry]]):
-        rs = tuple(tuple(_check_entry(x) for x in row) for row in rows)
-        if not rs:
+    def __new__(cls, rows: Iterable[Iterable[Entry]]) -> DenseMat:
+        rows = tuple(tuple(map(_check_entry, row)) for row in rows)
+        if not rows:
             raise ValueError("a matrix needs at least one row")
-        if any(len(row) != len(rs) for row in rs):
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("square matrix required")
-        self._rows = rs
+        return super().__new__(cls, rows)
 
     @classmethod
-    def _of_checked(cls, rows: Iterable[Iterable[Entry]]) -> "DenseMat":
+    def _of_checked(cls, rows: Iterable[Iterable[Entry]]) -> DenseMat:
         """A matrix of square rows whose entries are already known to be exact.
 
         For matrices this module computes from checked entries: it skips
         the per-entry check of the public constructor.
         """
-        m = object.__new__(cls)
-        m._rows = tuple(map(tuple, rows))
-        return m
+        return tuple.__new__(cls, (tuple(map(tuple, rows)),))
 
     @property
     def n(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> tuple[tuple[Entry, ...], ...]:
-        return self._rows
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DenseMat):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-    def __repr__(self) -> str:
-        return f"DenseMat({[list(r) for r in self._rows]!r})"
+        return len(self.rows)
 
 
 class ThetaPhi(namedtuple("ThetaPhi", "theta phi")):
@@ -265,7 +226,7 @@ def _cofactors(kind: SeqKind, k: int, a: int, n: int) -> DenseMat:
         raise ValueError(f"cofactor matrices need n >= 2, got {n!r}")
     t = gen_matrix(kind, SeqParams(k, a), n)
     # adj(T)^T = adj(T^T), and T^T swaps the two off-diagonal bands.
-    return adjugate(Tridiag(t.diag, t.sub, t.sup))
+    return adjugate(t._replace(sup=t.sub, sub=t.sup))
 
 
 def pell_cofactor(k: int, n: int) -> DenseMat:

@@ -329,7 +329,11 @@ def _sweep_one(
     identity: str, grid: SweepGrid, shared: Callable[..., list]
 ) -> Iterator[CheckResult]:
     entry = _REGISTRY[identity]
-    top = entry.top(grid.n_max)
+    arity, valid, _ = entry.domain
+    # top depends on n_max alone, so a sweep past the guard is refused before
+    # any tuple is listed, and one with no tuple to check reads no guard
+    if entry.guarded and any(valid(*i) for i in product(range(grid.n_max + 1), repeat=arity)):
+        guard_index(entry.top(grid.n_max))
     az = range(1, grid.a_max + 1) if SeqKind.GEN_PELL in entry.kinds else (1,)
     for a in az:
         indices = entry.indices(grid.n_max, a)
@@ -337,8 +341,6 @@ def _sweep_one(
             continue
         for k in range(1, grid.k_max + 1):
             params = SeqParams(k, a)
-            if entry.guarded:
-                guard_index(top)
             seqs = [shared(kind, params) for kind in entry.kinds]
             for index in indices:
                 yield entry.body(*seqs, params, *index)

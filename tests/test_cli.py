@@ -495,6 +495,24 @@ class TestBench:
 
 
 class TestParser:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("table --kind P --k 0 --n-max 3", "k must be a positive integer, got 0"),
+            ("eval --kind P --k 1 --n 2 --method binomial",
+             "--method binomial is defined for n >= 3"),
+            # the selection is checked before the grid
+            ("verify --identities nope --k-max 0",
+             "unknown identity 'nope'; known: all, catalan, cassini, docagne, convolution1, "
+             "convolution2, squares1, squares2, partition, cofactor-dets, eigen, eigen-verbatim"),
+            ("matrix --kind P --k 1 --a 2 --n 3", "--a applies to kind G only"),
+            ("eigen --k 1 --n 2000",
+             "eigenvalue product overflows double precision at k=1, n=2000"),
+        ],
+    )
+    def test_library_value_errors_are_usage_errors(self, capsys, argv, message):
+        assert run(capsys, *argv.split()) == (2, "", f"kpell: error: {message}\n")
+
     def test_no_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

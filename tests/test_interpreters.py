@@ -42,6 +42,7 @@ COMPARED = (
     ("matrix", "--kind", "G", "--k", "2", "--a", "4", "--n", "60", "--show", "inverse",
      "--format", "json"),
     ("matrix", "--kind", "P", "--k", "2", "--n", "80", "--show", "cofactor"),
+    ("matrix", "--kind", "q", "--k", "2", "--n", "150", "--show", "matrix"),
     ("matrix", "--kind", "P", "--k", "576460752303423488", "--n", "520", "--show", "theta-phi"),
     ("table", "--kind", "G", "--symbolic", "--n-max", "60"),
 )

@@ -129,6 +129,9 @@ def test_unknown_name_raises_attribute_error():
         (lambda: kpell.CheckResult("x", {"n": 1}, 2, 2),
          "CheckResult(identity_name='x', inputs={'n': 1}, lhs=2, rhs=2)", "residual_is_zero"),
         (lambda: kpell.SuiteReport(), "SuiteReport(results=())", "results"),
+        (lambda: kpell.Tridiag((5, 6), (1,), (3,)),
+         "Tridiag(diag=(5, 6), sup=(1,), sub=(3,))", "sup"),
+        (lambda: kpell.DenseMat([[1, 2], [3, 4]]), "DenseMat(rows=((1, 2), (3, 4)))", "rows"),
     ],
 )
 def test_records_are_frozen_values(make, text, field):
@@ -145,3 +148,9 @@ def test_record_hashes_follow_their_fields():
     assert len({kpell.SeqParams(2), kpell.SeqParams(2, 1), kpell.SeqParams(3)}) == 2
     with pytest.raises(TypeError):  # a dict of inputs is not hashable
         hash(kpell.CheckResult("x", {"n": 1}, 2, 2))
+
+
+def test_unchecked_matrix_is_the_checked_one():
+    rows = [[1, 2], [3, 4]]
+    unchecked, checked = kpell.DenseMat._of_checked(rows), kpell.DenseMat(rows)
+    assert unchecked == checked and hash(unchecked) == hash(checked)

@@ -403,6 +403,23 @@ class TestSharedPrefixes:
         monkeypatch.setenv("KPELL_GUARD_N", "-1")  # invalid: any guard read raises
         assert run_suite(SweepGrid(n_max=1), ("cofactor-dets",)).results == ()
 
+    def test_guard_refuses_before_listing_tuples(self, monkeypatch):
+        entry = verify._REGISTRY["catalan"]
+        arity, valid, rule = entry.domain
+        tested = []
+
+        def counted(*index):
+            tested.append(index)
+            return valid(*index)
+
+        counted_entry = entry._replace(domain=(arity, counted, rule))
+        monkeypatch.setitem(verify._REGISTRY, "catalan", counted_entry)
+        monkeypatch.setenv("KPELL_GUARD_N", "50")
+        with pytest.raises(ValueError, match="KPELL_GUARD_N"):
+            run_suite(SweepGrid(k_max=1, a_max=1, n_max=300), ("catalan",))
+        # the first valid tuple, (1, 1), is the 303rd of 301**2 candidates
+        assert len(tested) == 303
+
 
 _PAIRS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
 _SQUARE = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
