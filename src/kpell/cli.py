@@ -17,7 +17,7 @@ import argparse
 import sys
 import time
 from decimal import Decimal, localcontext
-from itertools import islice
+from itertools import count, islice
 from typing import Sequence
 
 from .digits import EXACT, to_str
@@ -47,14 +47,6 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _emit_json(payload: dict) -> None:
-    import json
-
-    from .jsonout import IndentEncoder
-
-    print(json.dumps(payload, indent=2, cls=IndentEncoder))
-
-
 def _parse_params(args: argparse.Namespace, kind: SeqKind) -> SeqParams:
     if args.a is not None and kind is not SeqKind.GEN_PELL:
         raise ValueError("--a applies to kind G only")
@@ -81,15 +73,18 @@ def _cmd_table(args: argparse.Namespace) -> int:
             return _fail_usage("numeric tables need --k (or pass --symbolic)")
         params = _parse_params(args, kind)
         values = map(str, islice(print_stream(kind, params), args.n_max + 1))
-    # Rows are rendered as they are printed, so text output never holds them all.
+    # Rows are rendered as they are printed, so no output holds them all.
     if args.format == "json":
+        from .jsonout import SLOT, quote, template, write
+
         payload: dict = {"kind": args.kind, "symbolic": bool(args.symbolic)}
         if not args.symbolic:
             payload["k"] = args.k
             if kind is SeqKind.GEN_PELL:
                 payload["a"] = args.a if args.a is not None else 1
-        payload["rows"] = [{"n": n, "value": v} for n, v in enumerate(values)]
-        _emit_json(payload)
+        row = template({"n": SLOT, "value": SLOT})
+        payload["rows"] = map(row.__mod__, zip(count(), map(quote, values)))
+        write(payload)
     else:
         for n, v in enumerate(values):
             print(f"{n}\t{v}")
@@ -149,33 +144,41 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             payload["a"] = params.a
         payload["n"] = args.n
         payload["value"] = text
-        _emit_json(payload)
+        from .jsonout import write
+
+        write(payload)
     else:
         print(text)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import SweepGrid, expand_selection, run_suite
+    from .verify import SweepGrid, expand_selection, json_rows, sweep, tally
 
     names = tuple(part.strip() for part in args.identities.split(",") if part.strip())
     if not names:
         return _fail_usage("--identities must name at least one identity")
     expand_selection(names)  # an unknown name is reported before a bad grid
     grid = SweepGrid(k_max=args.k_max, a_max=args.a_max, n_max=args.n_max)
-    report = run_suite(grid, names)
+    results = sweep(grid, names)
     if args.format == "json":
-        _emit_json(report.to_dict())
-    else:
-        print(f"{'identity':<16} {'pass':>8} {'fail':>8}")
-        for name, (passed, failed) in report.per_identity().items():
-            print(f"{name:<16} {passed:>8} {failed:>8}")
-        print(f"{'total':<16} {report.passed:>8} {report.failed:>8}")
-        for failure in report.failures:
-            inputs = " ".join(f"{key}={val}" for key, val in failure.inputs.items())
-            lhs, rhs = to_str(failure.lhs), to_str(failure.rhs)
-            print(f"FAIL {failure.identity_name} {inputs} lhs={lhs} rhs={rhs}")
-    return 0 if report.all_passed else 1
+        from .jsonout import write
+
+        # the summary comes first, so the rows are held as text until it is known
+        rows, failed = json_rows(results)
+        write({"summary": {"pass": len(rows) - failed, "fail": failed}, "results": iter(rows)})
+        return 0 if failed == 0 else 1
+    counts, failures = tally(results)
+    print(f"{'identity':<16} {'pass':>8} {'fail':>8}")
+    for name, (passed, failed) in counts.items():
+        print(f"{name:<16} {passed:>8} {failed:>8}")
+    passed = sum(p for p, _ in counts.values())
+    print(f"{'total':<16} {passed:>8} {len(failures):>8}")
+    for failure in failures:
+        inputs = " ".join(f"{key}={val}" for key, val in failure.inputs.items())
+        lhs, rhs = to_str(failure.lhs), to_str(failure.rhs)
+        print(f"FAIL {failure.identity_name} {inputs} lhs={lhs} rhs={rhs}")
+    return 0 if not failures else 1
 
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
@@ -197,13 +200,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.show == "theta-phi":
         tp = theta_phi(t)
         if args.format == "json":
-            _emit_json(
-                {
-                    "n": args.n,
-                    "theta": [to_str(x) for x in tp.theta],
-                    "phi": [to_str(x) for x in tp.phi],
-                }
-            )
+            from .jsonout import quote, write
+
+            theta = [to_str(x) for x in tp.theta]
+            write({"n": args.n, "theta": theta, "phi": map(quote, map(to_str, tp.phi))})
         else:
             print("theta:", " ".join(map(to_str, tp.theta)))
             print("phi:  ", " ".join(map(to_str, tp.phi)))
@@ -224,9 +224,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             return _fail_usage("cofactor matrices exist for kinds P and G only")
         cells = entry_strings(dense)
     if args.format == "json":
-        _emit_json({"n": args.n, "entries": cells})
+        from .jsonout import item, write
+
+        write({"n": args.n, "entries": map(item, cells)})
     else:
-        print(render_grid(cells))
+        # a line at a time: the grid's text is never joined into one string
+        print(*render_grid(cells), sep="\n")
     return 0
 
 

@@ -1,27 +1,39 @@
-"""JSON text for the CLI, the bytes of ``json.dumps(value, indent=...)`` written faster.
+"""JSON text for the CLI: the bytes of ``json.dumps(value, indent=...)``, built faster
+and written a piece at a time.
 
 With an indent, ``json.dumps`` runs the pure-Python encoder, which yields one
-token at a time through nested generators.  ``IndentEncoder`` builds the same
-text by recursion over dicts, lists, strings, ints, bools and None, quoting
-strings with the encoder's own C routine.  Each container's text is one join
-of its parts, so a large value is copied once per nesting level, not once
-per concatenation; a list of strings (a row of matrix cells) is quoted by
-one ``map`` with no recursive call per item.  Pass it as ``cls`` to
-``json.dumps`` with an integer indent and otherwise default options; a value
-of any other type (or a dict key that is not a string) sends the whole value
-to the stock encoder, so the output is always what the stock encoder gives.
+token at a time through nested generators.  ``dumps`` builds the same text by
+recursion over dicts, lists, strings, ints, bools and None, quoting strings
+with the encoder's own C routine.  Each container's text is one join of its
+parts, so a large value is copied once per nesting level, not once per
+concatenation; a list of strings (a row of matrix cells) is quoted by one
+``map`` with no recursive call per item.  A value of any other type (or a
+dict key that is not a string) sends the whole value to the stock encoder,
+so the output is always what the stock encoder gives.
+
+``write`` prints a document whose last member may be an iterator of item
+texts, from ``item`` or a ``template``: the items are written as they come,
+so the whole document is never held.
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _quote
+import sys
+from json.encoder import encode_basestring_ascii as quote
+
+_UNIT = "  "  # the CLI's indent=2
+# What opens each line of an item of the last member: two levels deep.
+ITEM = "\n" + 2 * _UNIT
+# A value that ``template`` makes a %s slot.
+SLOT = "\x00"
+_PIECE = 1 << 20  # characters of items written at once
 
 
 def _text(value: object, newline: str, unit: str) -> str:
     """``value`` as JSON, its inner lines opened by ``newline`` plus ``unit``."""
     if isinstance(value, str):
-        return _quote(value)
+        return quote(value)
     if value is None:
         return "null"
     if value is True:
@@ -36,8 +48,8 @@ def _text(value: object, newline: str, unit: str) -> str:
         if not value:
             return "[]"
         try:  # a list of strings, quoted by one map
-            return f"[{inner}{sep.join(map(_quote, value))}{newline}]"
-        except TypeError:  # _quote met an item that is not a string
+            return f"[{inner}{sep.join(map(quote, value))}{newline}]"
+        except TypeError:  # quote met an item that is not a string
             pass
         parts = ["[", inner]
         for item in value:
@@ -49,18 +61,68 @@ def _text(value: object, newline: str, unit: str) -> str:
             return "{}"
         parts = ["{", inner]
         for key, item in value.items():
-            # _quote raises TypeError for a key that is not a string
-            parts += (_quote(key), ": ", _text(item, inner, unit), sep)
+            # quote raises TypeError for a key that is not a string
+            parts += (quote(key), ": ", _text(item, inner, unit), sep)
         parts[-1] = newline + "}"
         return "".join(parts)
     raise TypeError(f"{type(value).__name__} is left to the stock encoder")
 
 
-class IndentEncoder(json.JSONEncoder):
-    """A ``json.dumps`` encoder with the stock output for an integer indent."""
+def _render(value: object, newline: str, indent: int) -> str:
+    try:
+        return _text(value, newline, " " * indent)
+    except TypeError:  # the stock encoder's text, or its TypeError for an unencodable value
+        return json.dumps(value, indent=indent).replace("\n", newline)
 
-    def encode(self, o: object) -> str:
-        try:
-            return _text(o, "\n", " " * self.indent)
-        except TypeError:
-            return super().encode(o)
+
+def dumps(value: object, indent: int = 2) -> str:
+    """``json.dumps(value, indent=indent)``."""
+    return _render(value, "\n", indent)
+
+
+def item(value: object) -> str:
+    """``value`` as an item of the last member of a ``write`` document."""
+    return _render(value, ITEM, len(_UNIT))
+
+
+def template(shape: object) -> str:
+    """``item(shape)`` as a %-template: each SLOT value is a %s, to be filled with JSON text."""
+    return item(shape).replace("%", "%%").replace(quote(SLOT), "%s")
+
+
+def write(payload: dict) -> None:
+    """Write ``json.dumps(payload, indent=2)`` and a newline to ``sys.stdout``.
+
+    The last member may be an iterator of item texts, from ``item`` or a
+    ``template``; it is written as a list, as its items come, and its key
+    must be a string.  ``sys.stdout`` is read at each call, so a redirected
+    stdout gets the text.
+    """
+    stdout = sys.stdout
+    members = list(payload.items())
+    if not (members and hasattr(members[-1][1], "__next__")):
+        stdout.write(dumps(payload) + "\n")
+        return
+    *head, (key, last) = members
+    # the head's text without its closing "\n}", then the last key
+    opening = dumps(dict(head))[:-2] + "," if head else "{"
+    named = f"{opening}\n{_UNIT}{quote(key)}: "
+    first = next(last, None)
+    if first is None:
+        stdout.write(named + "[]\n}\n")
+        return
+    stdout.write(f"{named}[{ITEM}")
+    sep = "," + ITEM
+    # Items go out joined into pieces of about _PIECE characters, so at most
+    # one piece and one item are held, and a reader draining a pipe gets
+    # nearly the full reads of one whole write.  Written an item at a time
+    # (8 KiB flushes), the default verify report left a subprocess.run
+    # reader about 6 MB more max RSS than one whole write did.
+    pending, size = [first], len(first)
+    for text in last:
+        if size >= _PIECE:
+            stdout.write(sep.join(pending) + sep)
+            pending, size = [], 0
+        pending.append(text)
+        size += len(text)
+    stdout.write(sep.join(pending) + f"\n{_UNIT}]\n}}\n")

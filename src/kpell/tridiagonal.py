@@ -340,8 +340,8 @@ def inverse_strings(t: Tridiag) -> list[list[str]]:
     return cells
 
 
-def render_grid(rows: Sequence[Sequence[str]]) -> str:
-    """Column-aligned text rendering of a grid of strings; each line is one
-    ``map(str.rjust, row, widths)`` joined, with no Python-level step per cell."""
+def render_grid(rows: Sequence[Sequence[str]]) -> list[str]:
+    """The lines of a column-aligned text rendering of a grid of strings; each
+    is one ``map(str.rjust, row, widths)`` joined, with no Python-level step per cell."""
     widths = [max(map(len, column)) for column in zip(*rows)]
-    return "\n".join("  ".join(map(str.rjust, row, widths)) for row in rows)
+    return ["  ".join(map(str.rjust, row, widths)) for row in rows]

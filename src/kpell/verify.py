@@ -2,10 +2,11 @@
 
 Each ``check_*`` function evaluates both sides of one identity and returns a
 CheckResult rather than asserting, so callers can render counterexamples.
-``run_suite`` sweeps selected checks over a parameter grid and reports
-per-identity pass/fail counts.  Both run the identity's registry entry: its
-body and its domain of valid index tuples.  A ``check_*`` call refuses a
-tuple outside the domain and feeds the body terms read one at a time
+``sweep`` yields the results of selected checks over a parameter grid one
+at a time, and ``run_suite`` collects them into a report with per-identity
+pass/fail counts.  A check and a sweep both run the identity's registry
+entry: its body and its domain of valid index tuples.  A ``check_*`` call
+refuses a tuple outside the domain and feeds the body terms read one at a time
 through ``term``; a sweep runs every valid tuple in 0..n_max and feeds it
 integer prefixes, each (kind, k, a) one built once and shared, and
 d'Ocagne's root powers, each k's list computed once.  The two
@@ -17,8 +18,9 @@ name.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from functools import partial
+from itertools import chain, product, starmap
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .digits import to_str
 from .sequences import SeqKind, SeqParams, _root_power, guard_index, prefix, term
@@ -200,11 +202,14 @@ class _Identity(NamedTuple):
     # what follows each index tuple of a sweep at a: cofactor-dets' matrices
     tails: Callable[[int], tuple[tuple, ...]] = lambda a: ((),)
 
-    def indices(self, n_max: int, a: int) -> list[tuple]:
-        """A sweep's index tuples: every valid one in 0..n_max, in lexicographic order."""
+    def valid_tuples(self, n_max: int) -> Iterator[tuple]:
+        """Every valid index tuple in 0..n_max, lazily, in lexicographic order."""
         arity, valid, _ = self.domain
-        everything, tails = product(range(n_max + 1), repeat=arity), self.tails(a)
-        return [index + tail for index in everything if valid(*index) for tail in tails]
+        return (index for index in product(range(n_max + 1), repeat=arity) if valid(*index))
+
+    def indices(self, tuples: list[tuple], a: int) -> list[tuple]:
+        """A sweep's index tuples at a: each of ``tuples`` followed by each tail of a."""
+        return [index + tail for index in tuples for tail in self.tails(a)]
 
 
 def _matrices(a: int) -> tuple[tuple[str], ...]:
@@ -325,25 +330,89 @@ class SweepGrid(namedtuple("SweepGrid", "k_max a_max n_max")):
         return super().__new__(cls, k_max, a_max, n_max)
 
 
-def _sweep_one(
+def _batches(
     identity: str, grid: SweepGrid, shared: Callable[..., list]
-) -> Iterator[CheckResult]:
+) -> Iterator[Iterator[CheckResult]]:
+    """One identity's sweep: an iterator of its results for each (a, k) in turn."""
     entry = _REGISTRY[identity]
-    arity, valid, _ = entry.domain
-    # top depends on n_max alone, so a sweep past the guard is refused before
-    # any tuple is listed, and one with no tuple to check reads no guard
-    if entry.guarded and any(valid(*i) for i in product(range(grid.n_max + 1), repeat=arity)):
+    # top depends on n_max alone, so a sweep past the guard is refused once
+    # its first tuple is found, before the rest are listed; one with no tuple
+    # to check reads no guard
+    found = entry.valid_tuples(grid.n_max)
+    first = next(found, None)
+    if first is None:
+        return
+    if entry.guarded:
         guard_index(entry.top(grid.n_max))
+    tuples = [first, *found]
     az = range(1, grid.a_max + 1) if SeqKind.GEN_PELL in entry.kinds else (1,)
     for a in az:
-        indices = entry.indices(grid.n_max, a)
-        if not indices:
-            continue
+        indices = entry.indices(tuples, a)
         for k in range(1, grid.k_max + 1):
             params = SeqParams(k, a)
             seqs = [shared(kind, params) for kind in entry.kinds]
-            for index in indices:
-                yield entry.body(*seqs, params, *index)
+            yield starmap(partial(entry.body, *seqs, params), indices)
+
+
+def tally(
+    results: Iterable[CheckResult],
+) -> tuple[dict[str, tuple[int, int]], list[CheckResult]]:
+    """Per-identity (pass count, fail count) in result order, and the failures,
+    from one pass that holds no passing result."""
+    counts: dict[str, list[int]] = {}
+    failures: list[CheckResult] = []
+    for r in results:
+        slot = counts.setdefault(r.identity_name, [0, 0])
+        if r.residual_is_zero:
+            slot[0] += 1
+        else:
+            slot[1] += 1
+            failures.append(r)
+    return {name: (p, f) for name, (p, f) in counts.items()}, failures
+
+
+def _row_form(name: str, inputs: Mapping[str, object]) -> str | None:
+    """The %-template of a result's JSON item, to be filled with its int inputs,
+    whose %s is their JSON text; None when an input is not an int."""
+    from .jsonout import SLOT, template
+
+    if not all(type(value) is int for value in inputs.values()):
+        return None
+    shape = {
+        "identity_name": name,
+        "inputs": dict.fromkeys(inputs, SLOT),
+        "lhs": SLOT,
+        "rhs": SLOT,
+        "residual_is_zero": SLOT,
+    }
+    return template(shape)
+
+
+def json_rows(results: Iterable[CheckResult]) -> tuple[list[str], int]:
+    """Each result as ``jsonout.item(result.to_dict())``, and the number that failed.
+
+    No dict is built for a result with int inputs: its row fills one
+    %-template, made once per identity and input keys.  A registry body
+    gives an input under a key the same type in every row it makes.
+    """
+    from .jsonout import item, quote
+
+    forms: dict[tuple, str | None] = {}
+    rows: list[str] = []
+    failed = 0
+    for r in results:
+        name, inputs, lhs, rhs, passed = r
+        key = (name, *inputs)
+        if key not in forms:
+            forms[key] = _row_form(name, inputs)
+        form = forms[key]
+        if form is None:
+            rows.append(item(r.to_dict()))
+        else:
+            flag = "true" if passed else "false"
+            rows.append(form % (*inputs.values(), quote(to_str(lhs)), quote(to_str(rhs)), flag))
+        failed += not passed
+    return rows, failed
 
 
 class SuiteReport(namedtuple("SuiteReport", "results failures")):
@@ -378,11 +447,7 @@ class SuiteReport(namedtuple("SuiteReport", "results failures")):
 
     def per_identity(self) -> dict[str, tuple[int, int]]:
         """Mapping identity name -> (pass count, fail count), in result order."""
-        counts: dict[str, list[int]] = {}
-        for r in self.results:
-            slot = counts.setdefault(r.identity_name, [0, 0])
-            slot[0 if r.residual_is_zero else 1] += 1
-        return {name: (p, f) for name, (p, f) in counts.items()}
+        return tally(self.results)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -408,14 +473,14 @@ def expand_selection(identities: Sequence[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def run_suite(
+def sweep(
     grid: SweepGrid = SweepGrid(), identities: Sequence[str] = ("all",)
-) -> SuiteReport:
-    """Run every selected check over the grid; failures are data, not errors.
+) -> Iterator[CheckResult]:
+    """Every selected check over the grid, one result at a time, in grid order.
 
-    The prefixes live for this call only: each (kind, k, a) one is computed
-    once, up to the largest index any selected identity reads, and so is the
-    list of root powers of each k.
+    The prefixes live as long as the iterator: each (kind, k, a) one is
+    computed once, up to the largest index any selected identity reads, and
+    so is the list of root powers of each k.
     """
     selected = expand_selection(identities)
     top = max((_REGISTRY[name].top(grid.n_max) for name in selected), default=0)
@@ -431,7 +496,12 @@ def run_suite(
                 prefixes[key] = prefix(kind, params, top + 1)
         return prefixes[key]
 
-    results: list[CheckResult] = []
-    for identity in selected:
-        results.extend(_sweep_one(identity, grid, shared))
-    return SuiteReport(tuple(results))
+    batches = chain.from_iterable(_batches(name, grid, shared) for name in selected)
+    return chain.from_iterable(batches)
+
+
+def run_suite(
+    grid: SweepGrid = SweepGrid(), identities: Sequence[str] = ("all",)
+) -> SuiteReport:
+    """Run every selected check over the grid; failures are data, not errors."""
+    return SuiteReport(tuple(sweep(grid, identities)))

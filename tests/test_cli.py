@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,34 @@ from kpell import cli
 from kpell.cli import main
 from kpell.digits import DECIMAL_MIN_DIGITS, STR_MAX_BITS, to_str
 from kpell.sequences import SeqKind, SeqParams, estimated_digits, term_stream
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Starts kpell, drains its stdout and prints its exit code and max RSS (KiB)
+# as os.wait4 reports them.  A child spawned straight from pytest would
+# inherit pytest's high-water mark, which Linux keeps across vfork and exec.
+WAIT4_LAUNCHER = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "kpell", *sys.argv[1:]], stdout=subprocess.PIPE)
+while child.stdout.read(1 << 16):
+    pass
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def _child_max_rss_mb(*argv: str) -> float:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", WAIT4_LAUNCHER, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, kib = map(int, proc.stdout.split())
+    assert code == 0
+    return kib / 1024
 
 
 def run(capsys, *argv):
@@ -121,6 +153,14 @@ class TestTable:
                 {"n": 2, "value": "10"},
             ],
         }
+
+    def test_json_rows_are_streamed(self):
+        # 12.6 MB of JSON: holding every row before writing took 54 MB max
+        # RSS against 15 MB for text, so the ratio shows whether rows are held.
+        argv = ("table", "--kind", "P", "--k", "1", "--n-max", "8000")
+        text_mb = _child_max_rss_mb(*argv)
+        json_mb = _child_max_rss_mb(*argv, "--format", "json")
+        assert json_mb <= 1.5 * text_mb, (json_mb, text_mb)
 
 
 class TestEval:
@@ -315,16 +355,38 @@ class TestVerify:
         self, capsys, monkeypatch, int_str_limit
     ):
         from kpell import verify
-        from kpell.verify import CheckResult, SuiteReport
+        from kpell.verify import CheckResult
 
         big = 10**5000
         wrong = CheckResult("cassini", {"a": 1, "k": 1, "n": 1}, big, -big)
-        monkeypatch.setattr(verify, "run_suite", lambda grid, names: SuiteReport((wrong,)))
+        monkeypatch.setattr(verify, "sweep", lambda grid, names: iter((wrong,)))
         int_str_limit(4300)
         code, out, _ = run(capsys, "verify", "--identities", "cassini")
         int_str_limit(0)
         assert code == 1
         assert out.splitlines()[-1] == f"FAIL cassini a=1 k=1 n=1 lhs={big} rhs={-big}"
+
+    def test_json_fail_rows_print_past_the_default_digit_limit(
+        self, capsys, monkeypatch, int_str_limit
+    ):
+        from kpell import verify
+        from kpell.verify import CheckResult
+
+        big = 10**5000
+        assert big.bit_length() > STR_MAX_BITS
+        right = CheckResult("cassini", {"a": 1, "k": 1, "n": 2}, -2, -2)
+        wrong = CheckResult("cassini", {"a": 1, "k": 1, "n": 1}, big, -big)
+        monkeypatch.setattr(verify, "sweep", lambda grid, names: iter((right, wrong)))
+        int_str_limit(4300)
+        code, out, _ = run(capsys, "verify", "--identities", "cassini", "--format", "json")
+        int_str_limit(0)
+        assert code == 1
+        payload = {
+            "summary": {"pass": 1, "fail": 1},
+            "results": [right.to_dict(), wrong.to_dict()],
+        }
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert json.loads(out)["results"][1]["lhs"] == str(big)
 
     def test_guard_refuses_sweep(self, capsys, monkeypatch):
         # catalan reads G_{2n}: index 60 here, past the guard of 50

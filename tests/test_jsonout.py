@@ -1,10 +1,14 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kpell.jsonout import IndentEncoder
+from kpell import jsonout, verify
+from kpell.sequences import SeqKind, SeqParams, _root_power, prefix
+from kpell.verify import CheckResult, SweepGrid, json_rows, run_suite
 
 PAYLOADS = [
     {},
@@ -30,7 +34,7 @@ PAYLOADS = [
 
 
 def _dumps(value, indent=2):
-    return json.dumps(value, indent=indent, cls=IndentEncoder)
+    return jsonout.dumps(value, indent)
 
 
 @pytest.mark.parametrize("payload", PAYLOADS)
@@ -79,3 +83,95 @@ string_lists = st.recursive(
 def test_random_lists_of_strings_match(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2)
     assert _dumps({"entries": payload}, 4) == json.dumps({"entries": payload}, indent=4)
+
+
+# -- the streaming writer --------------------------------------------------------
+
+
+def _written(capsys, payload) -> str:
+    jsonout.write(payload)
+    return capsys.readouterr().out
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.dictionaries(st.text(), json_values, max_size=4),
+    st.text(),
+    st.lists(json_values, max_size=6),
+)
+def test_streamed_last_member_matches_the_stock_encoder(capsys, head, key, items):
+    head.pop(key, None)  # the streamed member comes last
+    want = json.dumps({**head, key: items}, indent=2) + "\n"
+    assert _written(capsys, {**head, key: map(jsonout.item, items)}) == want
+    assert _written(capsys, {**head, key: items}) == want
+
+
+@pytest.mark.parametrize("payload", [p for p in PAYLOADS if isinstance(p, dict)])
+def test_whole_payloads_match_the_stock_encoder(capsys, payload):
+    assert _written(capsys, payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_empty_iterator_is_an_empty_list(capsys):
+    for head in ({}, {"summary": {"pass": 0, "fail": 0}}):
+        want = json.dumps({**head, "results": []}, indent=2) + "\n"
+        assert _written(capsys, {**head, "results": iter(())}) == want
+
+
+def test_more_items_than_one_piece(capsys, monkeypatch):
+    monkeypatch.setattr(jsonout, "_PIECE", 1000)
+    items = [{"n": n, "value": str(7**n)} for n in range(300)]
+    want = json.dumps({"k": 7, "rows": items}, indent=2) + "\n"
+    assert len(want) > 20 * jsonout._PIECE
+    assert _written(capsys, {"k": 7, "rows": map(jsonout.item, items)}) == want
+
+
+def test_writes_to_the_stdout_of_the_moment():
+    sink = io.StringIO()
+    with redirect_stdout(sink):
+        jsonout.write({"n": 1, "rows": iter([jsonout.item("x")])})
+    assert sink.getvalue() == json.dumps({"n": 1, "rows": ["x"]}, indent=2) + "\n"
+
+
+def test_template_fills_to_the_item():
+    form = jsonout.template({"n": jsonout.SLOT, "value": jsonout.SLOT, "tag": "100%"})
+    want = jsonout.item({"n": 12, "value": "3", "tag": "100%"})
+    assert form % (12, jsonout.quote("3")) == want
+
+
+# -- verify's rows: one template per identity, input keys and input types ----------
+
+
+def _failing_docagne() -> list:
+    # one G term bumped: the right side keeps a sqrt(1+k) part and is a QuadNum
+    entry = verify._REGISTRY["docagne"]
+    params = SeqParams(2, 1)
+    G = prefix(SeqKind.GEN_PELL, params, 12)
+    G[4] += 1
+    R = [_root_power(1 + params.k, e) for e in range(12)]
+    indices = entry.indices(list(entry.valid_tuples(8)), 1)
+    return [entry.body(G, R, params, *index) for index in indices]
+
+
+def _results() -> list:
+    grid = SweepGrid(k_max=15, a_max=2, n_max=6)  # 1+k square at k = 3, 8, 15
+    big = CheckResult("cassini", {"a": 1, "k": 1, "n": 1}, 10**5000, 1)
+    return [
+        *run_suite(grid).results,
+        *run_suite(SweepGrid(k_max=3, a_max=1, n_max=6), ("eigen", "eigen-verbatim")).results,
+        *_failing_docagne(),
+        big,
+    ]
+
+
+def test_verify_rows_match_the_stock_encoder(int_str_limit):
+    results = _results()
+    assert any(type(r.rhs).__name__ == "QuadNum" for r in results)
+    assert any(isinstance(v, str) for r in results for v in r.inputs.values())
+    assert {3, 8, 15} <= {r.inputs.get("k") for r in results}
+    int_str_limit(4300)  # a side past STR_MAX_BITS prints through to_str
+    rows, failed = json_rows(results)
+    int_str_limit(0)
+    assert failed == sum(not r.residual_is_zero for r in results) > 0
+    assert len(rows) == len(results)
+    for row, r in zip(rows, results):
+        assert row == json.dumps(r.to_dict(), indent=2).replace("\n", jsonout.ITEM), r

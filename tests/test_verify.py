@@ -332,7 +332,7 @@ class TestSharedPrefixes:
             return prefix(kind, params, top + 1)
 
         clean = [terms(kind) for kind in entry.kinds]
-        indices = entry.indices(n_max, params.a)
+        indices = entry.indices(list(entry.valid_tuples(n_max)), params.a)
 
         def all_zero(seqs):
             return all(entry.body(*seqs, params, *index).residual_is_zero for index in indices)
@@ -467,7 +467,8 @@ class TestRegistry:
     @pytest.mark.parametrize("identity", SWEEP_INDICES)
     def test_sweep_indices_are_pinned(self, identity):
         entry = verify._REGISTRY[identity]
-        assert [entry.indices(3, a) for a in (1, 2)] == list(SWEEP_INDICES[identity])
+        tuples = list(entry.valid_tuples(3))
+        assert [entry.indices(tuples, a) for a in (1, 2)] == list(SWEEP_INDICES[identity])
 
     @pytest.mark.parametrize(
         "check, before, inside, outside, message",
