@@ -17,17 +17,11 @@ import argparse
 import sys
 import time
 from decimal import Decimal, localcontext
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from typing import Sequence
 
 from .digits import EXACT, to_str
-from .sequences import (
-    SeqKind,
-    SeqParams,
-    binet_term,
-    print_stream,
-    term,
-)
+from .sequences import SeqKind, SeqParams, _walk, binet_term, initial_pair, term
 
 # Every subcommand needs the modules above; the others are imported in the
 # subcommand, or the option, that runs them, so a process loads only those.
@@ -72,7 +66,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.k is None:
             return _fail_usage("numeric tables need --k (or pass --symbolic)")
         params = _parse_params(args, kind)
-        values = map(str, islice(print_stream(kind, params), args.n_max + 1))
+        walk = _walk(*initial_pair(kind, params), repeat((2, params.k)), printing=True)
+        values = map(str, islice(walk, args.n_max + 1))
     # Rows are rendered as they are printed, so no output holds them all.
     if args.format == "json":
         from .jsonout import SLOT, quote, template, write
@@ -183,13 +178,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     from .tridiagonal import (
+        continuant_strings,
         entry_strings,
         gen_matrix,
         gen_pell_cofactor,
         inverse_strings,
         pell_cofactor,
         render_grid,
-        theta_phi,
     )
 
     kind = KINDS[args.kind]
@@ -198,15 +193,15 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     params = _parse_params(args, kind)
     t = gen_matrix(kind, params, args.n)
     if args.show == "theta-phi":
-        tp = theta_phi(t)
+        theta, phi = continuant_strings(t)
         if args.format == "json":
             from .jsonout import quote, write
 
-            theta = [to_str(x) for x in tp.theta]
-            write({"n": args.n, "theta": theta, "phi": map(quote, map(to_str, tp.phi))})
+            write({"n": args.n, "theta": map(quote, theta), "phi": map(quote, phi)})
         else:
-            print("theta:", " ".join(map(to_str, tp.theta)))
-            print("phi:  ", " ".join(map(to_str, tp.phi)))
+            for label, strings in (("theta:", theta), ("phi:  ", phi)):
+                # print's spacing, a string at a time: theta goes out as it is made
+                sys.stdout.writelines(chain([label], map(" ".__add__, strings), ["\n"]))
         return 0
     if args.show == "matrix":
         cells = entry_strings(t.to_dense())

@@ -11,9 +11,9 @@ concatenation; a list of strings (a row of matrix cells) is quoted by one
 dict key that is not a string) sends the whole value to the stock encoder,
 so the output is always what the stock encoder gives.
 
-``write`` prints a document whose last member may be an iterator of item
-texts, from ``item`` or a ``template``: the items are written as they come,
-so the whole document is never held.
+``write`` prints a document whose members may be iterators of item texts,
+from ``item`` or a ``template``: the items are written as they come, so the
+whole document is never held.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from json.encoder import encode_basestring_ascii as quote
 
 _UNIT = "  "  # the CLI's indent=2
-# What opens each line of an item of the last member: two levels deep.
+# What opens each line of an item of an iterator member: two levels deep.
 ITEM = "\n" + 2 * _UNIT
 # A value that ``template`` makes a %s slot.
 SLOT = "\x00"
@@ -81,7 +81,7 @@ def dumps(value: object, indent: int = 2) -> str:
 
 
 def item(value: object) -> str:
-    """``value`` as an item of the last member of a ``write`` document."""
+    """``value`` as an item of an iterator member of a ``write`` document."""
     return _render(value, ITEM, len(_UNIT))
 
 
@@ -93,36 +93,38 @@ def template(shape: object) -> str:
 def write(payload: dict) -> None:
     """Write ``json.dumps(payload, indent=2)`` and a newline to ``sys.stdout``.
 
-    The last member may be an iterator of item texts, from ``item`` or a
-    ``template``; it is written as a list, as its items come, and its key
-    must be a string.  ``sys.stdout`` is read at each call, so a redirected
-    stdout gets the text.
+    A member may be an iterator of item texts, from ``item`` or a
+    ``template``; it is written as a list, as its items come, and the
+    document's keys must then be strings.  ``sys.stdout`` is read at each
+    call, so a redirected stdout gets the text.
     """
     stdout = sys.stdout
-    members = list(payload.items())
-    if not (members and hasattr(members[-1][1], "__next__")):
+    if not any(hasattr(value, "__next__") for value in payload.values()):
         stdout.write(dumps(payload) + "\n")
         return
-    *head, (key, last) = members
-    # the head's text without its closing "\n}", then the last key
-    opening = dumps(dict(head))[:-2] + "," if head else "{"
-    named = f"{opening}\n{_UNIT}{quote(key)}: "
-    first = next(last, None)
-    if first is None:
-        stdout.write(named + "[]\n}\n")
-        return
-    stdout.write(f"{named}[{ITEM}")
     sep = "," + ITEM
-    # Items go out joined into pieces of about _PIECE characters, so at most
-    # one piece and one item are held, and a reader draining a pipe gets
-    # nearly the full reads of one whole write.  Written an item at a time
-    # (8 KiB flushes), the default verify report left a subprocess.run
-    # reader about 6 MB more max RSS than one whole write did.
-    pending, size = [first], len(first)
-    for text in last:
-        if size >= _PIECE:
-            stdout.write(sep.join(pending) + sep)
-            pending, size = [], 0
-        pending.append(text)
-        size += len(text)
-    stdout.write(sep.join(pending) + f"\n{_UNIT}]\n}}\n")
+    text = "{"  # held until the next item is written, or the end
+    for key, value in payload.items():
+        text += f"\n{_UNIT}{quote(key)}: "
+        if not hasattr(value, "__next__"):
+            text += _render(value, "\n" + _UNIT, len(_UNIT)) + ","
+            continue
+        first = next(value, None)
+        if first is None:
+            text += "[],"
+            continue
+        stdout.write(f"{text}[{ITEM}")
+        # Items go out joined into pieces of about _PIECE characters, so at
+        # most one piece and one item are held, and a reader draining a pipe
+        # gets nearly the full reads of one whole write.  Written an item at
+        # a time (8 KiB flushes), the default verify report left a
+        # subprocess.run reader about 6 MB more max RSS than one whole write did.
+        pending, size = [first], len(first)
+        for item_text in value:
+            if size >= _PIECE:
+                stdout.write(sep.join(pending) + sep)
+                pending, size = [], 0
+            pending.append(item_text)
+            size += len(item_text)
+        text = sep.join(pending) + f"\n{_UNIT}],"
+    stdout.write(text[:-1] + "\n}\n")

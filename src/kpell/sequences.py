@@ -11,34 +11,22 @@ and differ only in their first two terms:
     q (modified Pell):  1, 1
     G (generalized):    a, a        (a >= 1; a = 1 gives q)
 
-``term`` walks the recurrence in blocks.  The step matrix M = [[2, k], [1, 0]]
-has M**m = [[P_{m+1}, k*P_m], [P_m, k*P_{m-1}]], so every kind obeys
+Three engines evaluate them, each exact:
 
-    x_{j+m} = P_m*x_{j+1} + k*P_{m-1}*x_j,
-
-and while those entries stay below 2**BLOCK_BITS (2**60: m = 47 at k = 1,
-m = 41 at k = 2, m = 1 once k >= 2**59) one block of four big-by-word products
-replaces m single steps.  The entries come from the recurrence on small ints,
-not from ``_root_power``, so ``term`` stays an independent reference for the
-O(log n) routes.  ``prefix`` and ``term_stream`` yield every term, one step
-each.
-
-Beyond the recurrence, every O(log n) route runs one engine,
-``_root_power``: with d = 1+k it computes (1 + sqrt(d))**n = x + y*sqrt(d) by
-square-and-multiply on an integer pair, and each kind reads its term off that
-pair:
-
-    P_n = y,    P_{n+1} = x + y,    q_n = x,    Q_n = 2*x,    G_n = a*x.
-
-The engine carries the norm q = x**2 - d*y**2 = (-k)**m of the exponent m
-read so far, so that a doubling takes two squarings of the pair and one of q
-instead of three products, and the last bit forms only the coordinate the
-caller reads.  It runs on int or, past DECIMAL_MIN_DIGITS estimated digits,
-on exact Decimal: ``binet_term`` (``eval --method fast`` and ``--method
-binet``, ``bench --method fast``) switches backends; ``pell_binet``,
-``gen_binet`` and ``pell_fast`` stay on int.  ``print_stream``
-makes the same switch for the recurrence: once a term passes STR_MAX_BITS it
-walks on Decimal, whose ``str()`` is linear.  Every route is exact.
+* ``_walk``, the one three-term walk, yields every run of terms (``prefix``,
+  ``term_stream``, the CLI's tables) and a tridiagonal matrix's continuants
+  (``kpell.tridiagonal``).  Printing, it goes on in Decimal, whose ``str()``
+  is linear, once a value passes STR_MAX_BITS.
+* ``term`` walks the recurrence in blocks of m steps, with coefficients below
+  2**BLOCK_BITS that ``_block`` builds from small ints, so that it checks the
+  O(log n) routes independently.
+* ``_root_power`` computes (1 + sqrt(1+k))**n = x + y*sqrt(1+k) by
+  square-and-multiply on an integer pair, and each kind reads its term off
+  that pair: P_n = y, P_{n+1} = x + y, q_n = x, Q_n = 2*x, G_n = a*x.  It
+  runs on int or, past DECIMAL_MIN_DIGITS estimated digits, on exact
+  Decimal: ``binet_term`` (``eval --method fast`` and ``--method binet``,
+  ``bench --method fast``) switches backends; ``pell_binet``, ``gen_binet``
+  and ``pell_fast`` stay on int.
 """
 
 from __future__ import annotations
@@ -49,8 +37,8 @@ from collections import namedtuple
 from decimal import Decimal, localcontext
 from enum import Enum, unique
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator
+from itertools import islice, repeat
+from typing import Iterable, Iterator
 
 from .digits import DECIMAL_MIN_DIGITS, EXACT, STR_MAX_BITS, to_decimal
 
@@ -126,13 +114,46 @@ def estimated_digits(k: int, n: int) -> float:
     return n * (half + math.log10(1 + 10**-half))
 
 
+def _walk(prev, cur, steps: Iterable[tuple], printing: bool = False) -> Iterator:
+    """prev, cur, then cur' = d*cur + e*prev for each (d, e) of ``steps``, exact
+    in the inputs' number type: a kind's terms with steps (2, k), a
+    tridiagonal matrix's continuants with steps (a_i, -b_{i-1}*c_{i-1}).
+
+    ``printing`` readies ints for a linear-time ``str()``: a value is an int
+    while the value after it fits STR_MAX_BITS; then ``to_decimal`` converts
+    the pair once and the walk goes on in exact Decimal.
+    """
+    if not printing:
+        yield prev
+        yield cur
+        for d, e in steps:
+            prev, cur = cur, d * cur + e * prev
+            yield cur
+        return
+    steps = iter(steps)
+    ints = _walk(prev, cur, steps)  # it takes a step only as its value is asked for
+    prev = next(ints)
+    for cur in ints:
+        if cur.bit_length() > STR_MAX_BITS:
+            break
+        yield prev
+        prev = cur
+    else:
+        yield prev
+        return
+    # Context methods: a localcontext held across the yields would leak EXACT
+    # into the caller.  ``or 0``: a zero made of two -0 products prints as 0.
+    prev, cur = to_decimal(prev), to_decimal(cur)
+    for d, e in steps:
+        yield prev
+        prev, cur = cur, EXACT.fma(e, prev, EXACT.multiply(d, cur)) or 0
+    yield prev
+    yield cur
+
+
 def term_stream(kind: SeqKind, params: SeqParams) -> Iterator[int]:
     """Lazily yield the sequence from index 0 onward."""
-    prev, cur = initial_pair(kind, params)
-    k = params.k
-    while True:
-        yield prev
-        prev, cur = cur, 2 * cur + k * prev
+    return _walk(*initial_pair(kind, params), repeat((2, params.k)))
 
 
 def guard_index(n: int) -> None:
@@ -179,9 +200,7 @@ def term(kind: SeqKind, params: SeqParams, n: int) -> int:
         for _ in range(n // m):
             prev, cur = p * cur + kp_prev * prev, p_next * cur + kp * prev
         n %= m
-    for _ in range(n):
-        prev, cur = cur, 2 * cur + k * prev
-    return prev
+    return next(islice(_walk(prev, cur, repeat((2, k))), n, None))
 
 
 def prefix(kind: SeqKind, params: SeqParams, count: int) -> list[int]:
@@ -281,24 +300,3 @@ def pell_fast(k: int, n: int) -> tuple[int, int]:
     _check_index(n)
     x, y = _root_power(1 + k, n)
     return y, x + y
-
-
-def print_stream(kind: SeqKind, params: SeqParams) -> Iterator[int | Decimal]:
-    """term_stream's values, each ready for a linear-time ``str()``.
-
-    Terms stay ints while they fit STR_MAX_BITS.  Then the pair is converted
-    once by ``to_decimal`` and the walk goes on in exact Decimal, where a
-    step is an addition and a small multiple, instead of converting every
-    later term from scratch.
-    """
-    prev, cur = initial_pair(kind, params)
-    k = params.k
-    while cur.bit_length() <= STR_MAX_BITS:
-        yield prev
-        prev, cur = cur, 2 * cur + k * prev
-    # Context methods: a localcontext held across the yields would leak EXACT
-    # into the caller.
-    prev, cur = to_decimal(prev), to_decimal(cur)
-    while True:
-        yield prev
-        prev, cur = cur, EXACT.fma(k, prev, EXACT.add(cur, cur))

@@ -3,11 +3,12 @@
 The n x n generating matrix of each sequence has the sequence's second-order
 weights on a Toeplitz interior (2 on the diagonal, k above, -1 below) and the
 kind-specific pair in its first row; its determinant is the (n+1)-th term.
-This module computes determinants by one three-term continuant walk (theta
-over the bands, phi over the reversed bands), the integer adjugate of any
-tridiagonal matrix from its theta/phi continuants (the inverse is adjugate /
-det, the matrix of cofactors its transpose), and exact integer determinants
-of arbitrary dense matrices by fraction-free elimination.
+This module computes determinants by the three-term walk of
+``kpell.sequences`` over the bands (theta; phi over the reversed bands), the
+integer adjugate of any tridiagonal matrix from its theta/phi continuants
+(the inverse is adjugate / det, the matrix of cofactors its transpose), and
+exact integer determinants of arbitrary dense matrices by fraction-free
+elimination.
 
 Grids are made a row at a time with no Python-level step per cell: each
 adjugate row is a few ``map``/``accumulate`` passes, each row of strings one
@@ -29,7 +30,7 @@ from operator import add, floordiv, getitem, mul, neg
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .digits import STR_MAX_BITS, to_str
-from .sequences import SeqKind, SeqParams
+from .sequences import SeqKind, SeqParams, _walk
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -128,8 +129,9 @@ class ThetaPhi(namedtuple("ThetaPhi", "theta phi")):
 def gen_matrix(kind: SeqKind, params: SeqParams, n: int) -> Tridiag:
     """The n x n generating matrix whose determinant is the (n+1)-th term.
 
-    First row starts (x_2, k*x_1/...) with the kind's own pair; every later
-    row is (-1, 2, k).
+    The first row is (x_2, k*x_1, 0, ..., 0), x_1 and x_2 being the kind's
+    terms at indices 1 and 2; every later row is (..., -1, 2, k, ...), with -1
+    below the diagonal, 2 on it and k above it (the last row has no k).
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n!r}")
@@ -148,29 +150,31 @@ def gen_matrix(kind: SeqKind, params: SeqParams, n: int) -> Tridiag:
     return Tridiag(diag, sup, sub)
 
 
-def _continuants(
-    diag: Sequence[Entry], sup: Sequence[Entry], sub: Sequence[Entry]
-) -> Iterator[Entry]:
-    """The leading principal minors theta_0 = 1, theta_1, ..., theta_n of the
-    bands' matrix: theta_i = a_i*theta_{i-1} - b_{i-1}*c_{i-1}*theta_{i-2}."""
-    prev, cur = 1, diag[0]
-    yield prev
-    yield cur
-    for d, b, c in zip(diag[1:], sup, sub):
-        prev, cur = cur, d * cur - b * c * prev
-        yield cur
+def _minors(t: Tridiag, step: int = 1, printing: bool = False) -> Iterator:
+    """theta_0 = 1, theta_1, ..., theta_n, theta_i = a_i*theta_{i-1} -
+    b_{i-1}*c_{i-1}*theta_{i-2}: ``_walk`` over the bands, read with ``step``
+    (-1 gives phi_n = 1, ..., phi_0)."""
+    diag, sup, sub = t.diag[::step], t.sup[::step], t.sub[::step]
+    return _walk(1, diag[0], zip(diag[1:], map(neg, map(mul, sup, sub))), printing)
 
 
 def det_continuant(t: Tridiag) -> Entry:
     """Determinant by the three-term continuant recurrence, O(n) exact ops."""
-    return deque(_continuants(t.diag, t.sup, t.sub), maxlen=1).pop()
+    return deque(_minors(t), maxlen=1).pop()
 
 
 def theta_phi(t: Tridiag) -> ThetaPhi:
     """Both continuant families, forward (theta) and backward (phi): phi is
     the walk over the reversed bands, read back to front."""
-    phi = tuple(_continuants(t.diag[::-1], t.sup[::-1], t.sub[::-1]))[::-1]
-    return ThetaPhi(tuple(_continuants(t.diag, t.sup, t.sub)), phi)
+    return ThetaPhi(tuple(_minors(t)), tuple(_minors(t, -1))[::-1])
+
+
+def continuant_strings(t: Tridiag) -> tuple[Iterator[str], list[str]]:
+    """``theta_phi(t)`` as decimal strings, for integer bands: theta's as the
+    printing walk makes them, phi's held and reversed, never the values."""
+    phi = list(map(str, _minors(t, -1, printing=True)))
+    phi.reverse()
+    return map(str, _minors(t, printing=True)), phi
 
 
 def _adjugate_rows(t: Tridiag, tp: ThetaPhi | None = None) -> Iterator[list[Entry]]:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,11 +10,14 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kpell import cli
+from kpell import cli, digits, sequences
 from kpell.cli import main
 from kpell.digits import DECIMAL_MIN_DIGITS, STR_MAX_BITS, to_str
 from kpell.sequences import SeqKind, SeqParams, estimated_digits, term_stream
+from kpell.tridiagonal import gen_matrix, theta_phi
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -457,6 +462,58 @@ class TestMatrix:
             "theta": ["1", "2", "7", "20"],
             "phi": ["20", "7", "2", "1"],
         }
+
+    @staticmethod
+    def _theta_phi_shown(kind, k, a, n, fmt):
+        """The theta and phi strings that ``matrix --show theta-phi`` prints."""
+        argv = ["matrix", "--kind", kind, "--k", str(k), "--n", str(n), "--show", "theta-phi"]
+        argv += ["--a", str(a)] if kind == "G" else []
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--format", fmt]) == 0
+        if fmt == "json":
+            payload = json.loads(out.getvalue())
+            assert payload["n"] == n
+            return payload["theta"], payload["phi"]
+        theta, phi = out.getvalue().splitlines()
+        assert theta.startswith("theta: ") and phi.startswith("phi:   ")
+        return theta[7:].split(" "), phi[7:].split(" ")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(cli.KINDS)),
+        k=st.integers(1, 50) | st.just(2**59),
+        a=st.integers(1, 9),
+        n=st.integers(1, 40) | st.just(520),
+    )
+    def test_theta_phi_strings_are_the_continuants(self, kind, k, a, n):
+        # k = 2**59 at n = 520 passes STR_MAX_BITS near n = 475
+        tp = theta_phi(gen_matrix(cli.KINDS[kind], SeqParams(k, a if kind == "G" else 1), n))
+        want = list(map(to_str, tp.theta)), list(map(to_str, tp.phi))
+        for fmt in ("text", "json"):
+            assert self._theta_phi_shown(kind, k, a, n, fmt) == want
+
+    def test_theta_phi_converts_a_pair_once_per_walk(self, monkeypatch):
+        # Past STR_MAX_BITS each walk converts its pair once and goes on in
+        # Decimal; converting every continuant through to_str would call
+        # to_decimal about 45 times per walk here.
+        k, n = 2**59, 520
+        tp = theta_phi(gen_matrix(SeqKind.PELL, SeqParams(k), n))
+        want = list(map(to_str, tp.theta)), list(map(to_str, tp.phi))
+        assert sum(x.bit_length() > STR_MAX_BITS for x in tp.theta) > 40
+        calls = []
+        convert = digits.to_decimal
+
+        def counted(value):
+            calls.append(value)
+            return convert(value)
+
+        monkeypatch.setattr(digits, "to_decimal", counted)
+        monkeypatch.setattr(sequences, "to_decimal", counted)
+        for fmt in ("text", "json"):
+            calls.clear()
+            assert self._theta_phi_shown("P", k, 1, n, fmt) == want
+            assert len(calls) <= 4, fmt
 
     def test_n_must_be_positive(self, capsys):
         code, _, err = run(capsys, "matrix", "--kind", "P", "--k", "1", "--n", "0")

@@ -24,9 +24,10 @@ MINORS = ("3.10", "3.12", "3.13")
 # renders the inverse's reduced ratio cells (their gcds bounded through
 # theta/phi, JSON lists of strings quoted in one pass), a cofactor grid
 # formatted a row at a time, and theta-phi continuants of up to 15,341
-# bits, past STR_MAX_BITS, through to_str; table renders symbolic rows.
-# The JSON writer streams a table's rows and a sweep's row texts, FAIL rows
-# of eigen-verbatim among them.
+# bits (k = 2**59) and about 16,000 bits (G, k = 10**6, some 200 steps of
+# each walk), past STR_MAX_BITS, from the printing walk on Decimal; table
+# renders symbolic rows.  The JSON writer streams a table's rows, theta-phi's
+# two lists and a sweep's row texts, FAIL rows of eigen-verbatim among them.
 COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("bench", "--k", "1", "--n", "100000", "--method", "recurrence"),
@@ -46,6 +47,9 @@ COMPARED = (
     ("matrix", "--kind", "P", "--k", "2", "--n", "80", "--show", "cofactor"),
     ("matrix", "--kind", "q", "--k", "2", "--n", "150", "--show", "matrix"),
     ("matrix", "--kind", "P", "--k", "576460752303423488", "--n", "520", "--show", "theta-phi"),
+    ("matrix", "--kind", "P", "--k", "576460752303423488", "--n", "520", "--show", "theta-phi",
+     "--format", "json"),
+    ("matrix", "--kind", "G", "--k", "1000000", "--a", "3", "--n", "1600", "--show", "theta-phi"),
     ("table", "--kind", "G", "--symbolic", "--n-max", "60"),
     ("table", "--kind", "G", "--k", "2", "--a", "3", "--n-max", "40", "--format", "json"),
     ("verify", "--identities", "all,eigen-verbatim", "--k-max", "2", "--a-max", "2",

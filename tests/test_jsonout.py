@@ -106,6 +106,22 @@ def test_streamed_last_member_matches_the_stock_encoder(capsys, head, key, items
     assert _written(capsys, {**head, key: items}) == want
 
 
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.dictionaries(
+        st.text(), st.tuples(st.booleans(), st.lists(json_values, max_size=4)), max_size=5
+    )
+)
+def test_streamed_members_anywhere_match_the_stock_encoder(capsys, members):
+    # theta-phi streams its first list member as well as its last
+    want = json.dumps({key: items for key, (_, items) in members.items()}, indent=2) + "\n"
+    payload = {
+        key: map(jsonout.item, items) if streamed else items
+        for key, (streamed, items) in members.items()
+    }
+    assert _written(capsys, payload) == want
+
+
 @pytest.mark.parametrize("payload", [p for p in PAYLOADS if isinstance(p, dict)])
 def test_whole_payloads_match_the_stock_encoder(capsys, payload):
     assert _written(capsys, payload) == json.dumps(payload, indent=2) + "\n"

@@ -1,4 +1,4 @@
-from itertools import islice
+from itertools import islice, repeat
 
 from decimal import Decimal, localcontext
 
@@ -19,9 +19,9 @@ from kpell.sequences import (
     estimated_digits,
     pell_fast,
     prefix,
-    print_stream,
     recurrence_guard,
     _block,
+    _walk,
     _root_power,
     term,
     term_stream,
@@ -267,11 +267,13 @@ class TestPrintStream:
         ],
     )
     def test_equals_term_stream_across_the_switch(self, kind, params):
-        # Row n stays an int while term n+1 fits STR_MAX_BITS, then Decimal.
+        # The printing walk that ``table`` runs: row n stays an int while
+        # term n+1 fits STR_MAX_BITS, then it is a Decimal.
         terms = term_stream(kind, params)
         value, after = next(terms), next(terms)
         past = 0
-        for shown in print_stream(kind, params):
+        walk = _walk(*initial_pair(kind, params), repeat((2, params.k)), printing=True)
+        for shown in walk:
             fits = after.bit_length() <= STR_MAX_BITS
             assert type(shown) is (int if fits else Decimal)
             assert shown == value

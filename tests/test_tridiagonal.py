@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kpell.digits import STR_MAX_BITS, to_str
 from kpell.sequences import SeqKind, SeqParams, prefix, term
 from kpell.tridiagonal import (
     DenseMat,
     Tridiag,
     adjugate,
     bareiss_det,
+    continuant_strings,
     det_continuant,
     entry_strings,
     gen_matrix,
@@ -282,6 +284,31 @@ class TestThetaPhi:
     def test_determinant_agrees_with_continuant(self):
         t = Tridiag((4, 5, 6, 7), (2, 1, 2), (1, 3, 1))
         assert theta_phi(t).determinant == det_continuant(t) == bareiss_det(t.to_dense())
+
+
+    @given(tridiags(max_n=8))
+    def test_continuant_strings_on_small_bands(self, t):
+        theta, phi = continuant_strings(t)
+        tp = theta_phi(t)
+        assert (list(theta), phi) == (list(map(str, tp.theta)), list(map(str, tp.phi)))
+
+    @pytest.mark.parametrize(
+        "kind, params, n",
+        [(SeqKind.PELL, SeqParams(2**59), 520), (SeqKind.GEN_PELL, SeqParams(10**6, 3), 1500)],
+    )
+    def test_continuant_strings_across_the_switch(self, kind, params, n):
+        t = gen_matrix(kind, params, n)
+        tp = theta_phi(t)
+        assert tp.determinant.bit_length() > STR_MAX_BITS
+        theta, phi = continuant_strings(t)
+        assert list(theta) == list(map(to_str, tp.theta))
+        assert phi == list(map(to_str, tp.phi))
+
+    def test_a_zero_past_the_switch_prints_as_zero(self):
+        # theta_3 = 0*theta_2 - 0*theta_1 with both negative: two -0 products on Decimal
+        t = Tridiag((-(2**14_001), 1, 0), (0, 0), (0, 0))
+        theta, _ = continuant_strings(t)
+        assert list(theta) == list(map(to_str, theta_phi(t).theta))
 
 
 class TestUsmaniInverse:
