@@ -26,12 +26,7 @@ from .sequences import SeqKind, SeqParams, _walk, binet_term, initial_pair, term
 # Every subcommand needs the modules above; the others are imported in the
 # subcommand, or the option, that runs them, so a process loads only those.
 
-KINDS = {
-    "P": SeqKind.PELL,
-    "Q": SeqKind.PELL_LUCAS,
-    "q": SeqKind.MODIFIED_PELL,
-    "G": SeqKind.GEN_PELL,
-}
+KINDS = {kind.value: kind for kind in SeqKind}
 
 CROSS_CHECK_LIMIT = 10_000
 
@@ -76,7 +71,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if not args.symbolic:
             payload["k"] = args.k
             if kind is SeqKind.GEN_PELL:
-                payload["a"] = args.a if args.a is not None else 1
+                payload["a"] = params.a
         row = template({"n": SLOT, "value": SLOT})
         payload["rows"] = map(row.__mod__, zip(count(), map(quote, values)))
         write(payload)

@@ -1,15 +1,11 @@
-"""JSON text for the CLI: the bytes of ``json.dumps(value, indent=...)``, built faster
-and written a piece at a time.
+"""JSON text for the CLI: the bytes of ``json.dumps(value, indent=2)``, written a
+piece at a time.
 
-With an indent, ``json.dumps`` runs the pure-Python encoder, which yields one
-token at a time through nested generators.  ``dumps`` builds the same text by
-recursion over dicts, lists, strings, ints, bools and None, quoting strings
-with the encoder's own C routine.  Each container's text is one join of its
-parts, so a large value is copied once per nesting level, not once per
-concatenation; a list of strings (a row of matrix cells) is quoted by one
-``map`` with no recursive call per item.  A value of any other type (or a
-dict key that is not a string) sends the whole value to the stock encoder,
-so the output is always what the stock encoder gives.
+Every value is encoded by the stock encoder, ``json.dumps(value, indent=2)``,
+its lines re-indented to where the value sits, with one exception: ``item``
+quotes a list of strings (a row of matrix cells) by one ``map`` and one join,
+which gives the same text without the pure-Python encoder's generator per
+level and token.
 
 ``write`` prints a document whose members may be iterators of item texts,
 from ``item`` or a ``template``: the items are written as they come, so the
@@ -30,59 +26,15 @@ SLOT = "\x00"
 _PIECE = 1 << 20  # characters of items written at once
 
 
-def _text(value: object, newline: str, unit: str) -> str:
-    """``value`` as JSON, its inner lines opened by ``newline`` plus ``unit``."""
-    if isinstance(value, str):
-        return quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + unit
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:  # a list of strings, quoted by one map
-            return f"[{inner}{sep.join(map(quote, value))}{newline}]"
-        except TypeError:  # quote met an item that is not a string
-            pass
-        parts = ["[", inner]
-        for item in value:
-            parts += (_text(item, inner, unit), sep)
-        parts[-1] = newline + "]"
-        return "".join(parts)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = ["{", inner]
-        for key, item in value.items():
-            # quote raises TypeError for a key that is not a string
-            parts += (quote(key), ": ", _text(item, inner, unit), sep)
-        parts[-1] = newline + "}"
-        return "".join(parts)
-    raise TypeError(f"{type(value).__name__} is left to the stock encoder")
-
-
-def _render(value: object, newline: str, indent: int) -> str:
-    try:
-        return _text(value, newline, " " * indent)
-    except TypeError:  # the stock encoder's text, or its TypeError for an unencodable value
-        return json.dumps(value, indent=indent).replace("\n", newline)
-
-
-def dumps(value: object, indent: int = 2) -> str:
-    """``json.dumps(value, indent=indent)``."""
-    return _render(value, "\n", indent)
-
-
 def item(value: object) -> str:
     """``value`` as an item of an iterator member of a ``write`` document."""
-    return _render(value, ITEM, len(_UNIT))
+    if isinstance(value, (list, tuple)) and value:
+        inner = ITEM + _UNIT
+        try:  # a list of strings, quoted by one map
+            return f"[{inner}{(',' + inner).join(map(quote, value))}{ITEM}]"
+        except TypeError:  # quote met an item that is not a string
+            pass
+    return json.dumps(value, indent=2).replace("\n", ITEM)
 
 
 def template(shape: object) -> str:
@@ -100,14 +52,14 @@ def write(payload: dict) -> None:
     """
     stdout = sys.stdout
     if not any(hasattr(value, "__next__") for value in payload.values()):
-        stdout.write(dumps(payload) + "\n")
+        stdout.write(json.dumps(payload, indent=2) + "\n")
         return
     sep = "," + ITEM
     text = "{"  # held until the next item is written, or the end
     for key, value in payload.items():
         text += f"\n{_UNIT}{quote(key)}: "
         if not hasattr(value, "__next__"):
-            text += _render(value, "\n" + _UNIT, len(_UNIT)) + ","
+            text += json.dumps(value, indent=2).replace("\n", "\n" + _UNIT) + ","
             continue
         first = next(value, None)
         if first is None:

@@ -30,7 +30,7 @@ from operator import add, floordiv, getitem, mul, neg
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .digits import STR_MAX_BITS, to_str
-from .sequences import SeqKind, SeqParams, _walk
+from .sequences import SeqKind, SeqParams, _walk, initial_pair
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -135,17 +135,10 @@ def gen_matrix(kind: SeqKind, params: SeqParams, n: int) -> Tridiag:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"matrix order must be >= 1, got {n!r}")
-    k, a = params.k, params.a
-    if kind is SeqKind.PELL:
-        d0, b0 = 2, k
-    elif kind is SeqKind.PELL_LUCAS:
-        d0, b0 = 2 * k + 4, 2 * k
-    elif kind is SeqKind.MODIFIED_PELL:
-        d0, b0 = k + 2, k
-    else:
-        d0, b0 = a * k + 2 * a, a * k
-    diag = (d0,) + (2,) * (n - 1)
-    sup = ((b0,) + (k,) * (n - 2)) if n > 1 else ()
+    k = params.k
+    x0, x1 = initial_pair(kind, params)
+    diag = (2 * x1 + k * x0,) + (2,) * (n - 1)
+    sup = ((k * x1,) + (k,) * (n - 2)) if n > 1 else ()
     sub = (-1,) * (n - 1)
     return Tridiag(diag, sup, sub)
 

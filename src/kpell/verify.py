@@ -8,11 +8,10 @@ pass/fail counts.  A check and a sweep both run the identity's registry
 entry: its body and its domain of valid index tuples.  A ``check_*`` call
 refuses a tuple outside the domain and feeds the body terms read one at a time
 through ``term``; a sweep runs every valid tuple in 0..n_max and feeds it
-integer prefixes, each (kind, k, a) one built once and shared, and
-d'Ocagne's root powers, each k's list computed once.  The two
-eigenvalue checks are floating-point cross-checks and are therefore *not* part
-of the ``"all"`` selection, whose checks are exact; they must be selected by
-name.
+integer prefixes, each built once and shared: G's for each (k, a), P's and
+d'Ocagne's root powers for each k.  The two eigenvalue checks are
+floating-point cross-checks and are therefore *not* part of the ``"all"``
+selection, whose checks are exact; they must be selected by name.
 """
 
 from __future__ import annotations
@@ -478,17 +477,17 @@ def sweep(
 ) -> Iterator[CheckResult]:
     """Every selected check over the grid, one result at a time, in grid order.
 
-    The prefixes live as long as the iterator: each (kind, k, a) one is
-    computed once, up to the largest index any selected identity reads, and
-    so is the list of root powers of each k.
+    The prefixes live as long as the iterator: each is computed once, up to
+    the largest index any selected identity reads, G's for each (k, a), P's
+    and the list of root powers for each k.
     """
     selected = expand_selection(identities)
     top = max((_REGISTRY[name].top(grid.n_max) for name in selected), default=0)
     prefixes: dict[tuple, list] = {}
 
     def shared(kind: SeqKind | str, params: SeqParams) -> list:
-        # root powers depend on k alone
-        key = (kind, params.k) if kind is _ROOTS else (kind, params)
+        # only G depends on a; the other terms and the root powers on k alone
+        key = (kind, params) if kind is SeqKind.GEN_PELL else (kind, params.k)
         if key not in prefixes:
             if kind is _ROOTS:
                 prefixes[key] = [_root_power(1 + params.k, e) for e in range(top + 1)]

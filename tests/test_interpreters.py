@@ -27,12 +27,15 @@ MINORS = ("3.10", "3.12", "3.13")
 # bits (k = 2**59) and about 16,000 bits (G, k = 10**6, some 200 steps of
 # each walk), past STR_MAX_BITS, from the printing walk on Decimal; table
 # renders symbolic rows.  The JSON writer streams a table's rows, theta-phi's
-# two lists and a sweep's row texts, FAIL rows of eigen-verbatim among them.
+# two lists, a sweep's row texts, FAIL rows of eigen-verbatim among them, and
+# a cofactor grid's rows; each interpreter's own json.dumps writes the heads
+# and a whole eval payload.
 COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("bench", "--k", "1", "--n", "100000", "--method", "recurrence"),
     ("eval", "--kind", "G", "--k", "2", "--a", "3", "--n", "60000"),
     ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast"),
+    ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast", "--format", "json"),
     ("eval", "--kind", "G", "--k", "3", "--a", "2", "--n", "5000", "--method", "binet"),
     ("eval", "--kind", "P", "--k", "2", "--n", "30011", "--method", "binet"),
     ("eval", "--kind", "G", "--k", "5", "--a", "3", "--n", "30011", "--method", "binet"),
@@ -45,6 +48,8 @@ COMPARED = (
     ("matrix", "--kind", "G", "--k", "2", "--a", "4", "--n", "60", "--show", "inverse",
      "--format", "json"),
     ("matrix", "--kind", "P", "--k", "2", "--n", "80", "--show", "cofactor"),
+    ("matrix", "--kind", "G", "--k", "1", "--a", "4", "--n", "60", "--show", "cofactor",
+     "--format", "json"),
     ("matrix", "--kind", "q", "--k", "2", "--n", "150", "--show", "matrix"),
     ("matrix", "--kind", "P", "--k", "576460752303423488", "--n", "520", "--show", "theta-phi"),
     ("matrix", "--kind", "P", "--k", "576460752303423488", "--n", "520", "--show", "theta-phi",

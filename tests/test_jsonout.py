@@ -33,18 +33,13 @@ PAYLOADS = [
 ]
 
 
-def _dumps(value, indent=2):
-    return jsonout.dumps(value, indent)
+def _stock_item(value):
+    return json.dumps(value, indent=2).replace("\n", jsonout.ITEM)
 
 
 @pytest.mark.parametrize("payload", PAYLOADS)
 def test_bytes_match_the_stock_encoder(payload):
-    assert _dumps(payload) == json.dumps(payload, indent=2)
-
-
-@pytest.mark.parametrize("indent", [0, 1, 4])
-def test_other_indents(indent):
-    assert _dumps(PAYLOADS[7], indent) == json.dumps(PAYLOADS[7], indent=indent)
+    assert jsonout.item(payload) == _stock_item(payload)
 
 
 @pytest.mark.parametrize(
@@ -52,12 +47,13 @@ def test_other_indents(indent):
     [{"x": 1.5, "y": float("nan")}, {1: "int key", None: [True]}, [float("inf")]],
 )
 def test_other_types_go_to_the_stock_encoder(payload):
-    assert _dumps(payload) == json.dumps(payload, indent=2)
+    assert jsonout.item(payload) == _stock_item(payload)
 
 
 def test_unencodable_value_raises_like_the_stock_encoder():
-    with pytest.raises(TypeError):
-        _dumps({"x": object()})
+    for payload in ({"x": object()}, ["x", object()]):
+        with pytest.raises(TypeError):
+            jsonout.item(payload)
 
 
 json_values = st.recursive(
@@ -69,7 +65,7 @@ json_values = st.recursive(
 
 @given(json_values)
 def test_random_payloads_match(payload):
-    assert _dumps(payload) == json.dumps(payload, indent=2)
+    assert jsonout.item(payload) == _stock_item(payload)
 
 
 string_lists = st.recursive(
@@ -81,8 +77,8 @@ string_lists = st.recursive(
 
 @given(string_lists)
 def test_random_lists_of_strings_match(payload):
-    assert _dumps(payload) == json.dumps(payload, indent=2)
-    assert _dumps({"entries": payload}, 4) == json.dumps({"entries": payload}, indent=4)
+    assert jsonout.item(payload) == _stock_item(payload)
+    assert jsonout.item({"entries": payload}) == _stock_item({"entries": payload})
 
 
 # -- the streaming writer --------------------------------------------------------

@@ -363,6 +363,20 @@ class TestSharedPrefixes:
         # one call per k and exponent 0..13, the largest index the sweep reads
         assert len(calls) == len(set(calls)) == 3 * 14
 
+    def test_sweep_builds_each_pell_prefix_once_per_k(self, monkeypatch):
+        calls = []
+
+        def counted(kind, params, n):
+            calls.append((kind, params))
+            return prefix(kind, params, n)
+
+        monkeypatch.setattr(verify, "prefix", counted)
+        report = run_suite(SweepGrid(k_max=4, a_max=3, n_max=6), ("partition",))
+        assert report.all_passed
+        # P does not depend on a: one prefix per k, G one per (k, a)
+        assert sum(kind is SeqKind.PELL for kind, _ in calls) == 4
+        assert sum(kind is SeqKind.GEN_PELL for kind, _ in calls) == 4 * 3
+
     @pytest.mark.parametrize(
         "identity, top",
         [
