@@ -2,20 +2,23 @@
 
 Before CPython 3.12, ``str()`` of an int is quadratic in its length, and every
 version since 3.10.7 refuses ints of more than 4300 digits unless the caller
-lifts ``sys.set_int_max_str_digits``.  So a value is printed by ``to_str``:
+lifts ``sys.set_int_max_str_digits``.  So a value is printed by ``to_str``,
+and a row of values by ``to_strs``:
 
 * an int of at most STR_MAX_BITS bits goes through ``str()``;
 * a larger int is converted to ``Decimal`` by divide and conquer over powers
   of two (Brent & Zimmermann, *Modern Computer Arithmetic*, section 1.7; the
   scheme of CPython 3.12's ``_pylong.int_to_decimal``), and ``str()`` of a
-  Decimal is linear.
+  Decimal is linear;
+* a ratio (a ``Fraction``) prints as its numerator and denominator, each as
+  an int above.
 
-A term estimated to pass DECIMAL_MIN_DIGITS is better computed as a Decimal in
-the first place (``sequences.binet_term``): libmpdec multiplies large
-operands with a number-theoretic transform, and the digits then cost nothing
-to write.  All Decimal arithmetic runs under EXACT, which traps any rounding,
-so a Decimal here is always an exact integer.  Never call ``int()`` on a large
-one: that conversion is quadratic.
+A run of terms or a huge term is better computed as a Decimal in the first
+place (``sequences._walk`` when printing, ``sequences.binet_term``): libmpdec
+multiplies large operands with a number-theoretic transform, and the digits
+then cost nothing to write.  All Decimal arithmetic runs under EXACT, which
+traps any rounding, so a Decimal here is always an exact integer.  Never call
+``int()`` on a large one: that conversion is quadratic.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from decimal import (
     Rounded,
     localcontext,
 )
+from typing import Sequence
 
 EXACT = Context(
     prec=MAX_PREC,
@@ -41,10 +45,6 @@ EXACT = Context(
 
 # At most 4215 decimal digits, so str() stays under CPython's default limit.
 STR_MAX_BITS = 14_000
-# Square-and-multiply on Decimal and printing with str() overtakes the same
-# on int and printing with to_str() at about this many digits (CPython 3.11,
-# x86-64).
-DECIMAL_MIN_DIGITS = 10_000
 
 _LEAF_BITS = 128
 
@@ -82,7 +82,21 @@ def to_decimal(n: int) -> Decimal:
 
 
 def to_str(value: object) -> str:
-    """``str(value)``, except that an int past STR_MAX_BITS goes through to_decimal."""
-    if isinstance(value, int) and value.bit_length() > STR_MAX_BITS:
-        return str(to_decimal(value))
-    return str(value)
+    """``str(value)``, except that an int past STR_MAX_BITS goes through to_decimal
+    and a ratio prints as ``to_str`` of its numerator and denominator."""
+    if isinstance(value, int):
+        return str(value) if value.bit_length() <= STR_MAX_BITS else str(to_decimal(value))
+    denominator = getattr(value, "denominator", None)  # a Fraction, with no import
+    if denominator is None:
+        return str(value)
+    numerator = to_str(value.numerator)
+    return numerator if denominator == 1 else numerator + "/" + to_str(denominator)
+
+
+def to_strs(row: Sequence) -> list[str]:
+    """``list(map(to_str, row))``: one ``map(str, row)`` unless the row holds a
+    ratio or an int past STR_MAX_BITS."""
+    top = max(max(row), -min(row))
+    if isinstance(top, int) and top.bit_length() <= STR_MAX_BITS:
+        return list(map(str, row))
+    return list(map(to_str, row))

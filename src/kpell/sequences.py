@@ -15,18 +15,18 @@ Three engines evaluate them, each exact:
 
 * ``_walk``, the one three-term walk, yields every run of terms (``prefix``,
   ``term_stream``, the CLI's tables) and a tridiagonal matrix's continuants
-  (``kpell.tridiagonal``).  Printing, it goes on in Decimal, whose ``str()``
-  is linear, once a value passes STR_MAX_BITS.
+  (``kpell.tridiagonal``).  Printing, it runs in exact Decimal from its
+  first step, so that each ``str()`` is linear and needs no digit limit.
 * ``term`` walks the recurrence in blocks of m steps, with coefficients below
   2**BLOCK_BITS that ``_block`` builds from small ints, so that it checks the
   O(log n) routes independently.
 * ``_root_power`` computes (1 + sqrt(1+k))**n = x + y*sqrt(1+k) by
   square-and-multiply on an integer pair, and each kind reads its term off
   that pair: P_n = y, P_{n+1} = x + y, q_n = x, Q_n = 2*x, G_n = a*x.  It
-  runs on int or, past DECIMAL_MIN_DIGITS estimated digits, on exact
-  Decimal: ``binet_term`` (``eval --method fast`` and ``--method binet``,
-  ``bench --method fast``) switches backends; ``pell_binet``, ``gen_binet``
-  and ``pell_fast`` stay on int.
+  runs on the number type of its d: ``binet_term`` (``eval --method fast``
+  and ``--method binet``, ``bench --method fast``) runs it on exact Decimal,
+  whose products use libmpdec's transform and whose ``str()`` is linear;
+  ``pell_binet``, ``gen_binet`` and ``pell_fast`` stay on int.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import islice, repeat
 from typing import Iterable, Iterator
 
-from .digits import DECIMAL_MIN_DIGITS, EXACT, STR_MAX_BITS, to_decimal
+from .digits import EXACT
 
 DEFAULT_GUARD_N = 10_000_000
 BLOCK_BITS = 60  # the blocked recurrence's coefficients stay below 2**BLOCK_BITS
@@ -119,9 +119,8 @@ def _walk(prev, cur, steps: Iterable[tuple], printing: bool = False) -> Iterator
     in the inputs' number type: a kind's terms with steps (2, k), a
     tridiagonal matrix's continuants with steps (a_i, -b_{i-1}*c_{i-1}).
 
-    ``printing`` readies ints for a linear-time ``str()``: a value is an int
-    while the value after it fits STR_MAX_BITS; then ``to_decimal`` converts
-    the pair once and the walk goes on in exact Decimal.
+    ``printing`` readies integer inputs for a linear-time ``str()``: the
+    walk runs in exact Decimal from its first step.
     """
     if not printing:
         yield prev
@@ -130,25 +129,14 @@ def _walk(prev, cur, steps: Iterable[tuple], printing: bool = False) -> Iterator
             prev, cur = cur, d * cur + e * prev
             yield cur
         return
-    steps = iter(steps)
-    ints = _walk(prev, cur, steps)  # it takes a step only as its value is asked for
-    prev = next(ints)
-    for cur in ints:
-        if cur.bit_length() > STR_MAX_BITS:
-            break
-        yield prev
-        prev = cur
-    else:
-        yield prev
-        return
     # Context methods: a localcontext held across the yields would leak EXACT
     # into the caller.  ``or 0``: a zero made of two -0 products prints as 0.
-    prev, cur = to_decimal(prev), to_decimal(cur)
-    for d, e in steps:
-        yield prev
-        prev, cur = cur, EXACT.fma(e, prev, EXACT.multiply(d, cur)) or 0
+    prev, cur = Decimal(prev), Decimal(cur)
     yield prev
     yield cur
+    for d, e in steps:
+        prev, cur = cur, EXACT.fma(e, prev, EXACT.multiply(d, cur)) or 0
+        yield cur
 
 
 def term_stream(kind: SeqKind, params: SeqParams) -> Iterator[int]:
@@ -274,21 +262,19 @@ def gen_binet(params: SeqParams, n: int) -> int:
 
 
 def binet_term(kind: SeqKind, params: SeqParams, n: int) -> int | Decimal:
-    """P_n or G_n by root powers: pell_binet's or gen_binet's int, or an exact
-    Decimal for a huge term.
+    """P_n or G_n by root powers: pell_binet's or gen_binet's value as an exact
+    Decimal (an int for n < 2).
 
-    Past DECIMAL_MIN_DIGITS estimated digits the engine runs on Decimal under
-    the EXACT context, where libmpdec's transform multiplication beats int's
-    Karatsuba and ``str()`` is linear.  Print the result with ``str()`` or
+    The engine runs on Decimal under the EXACT context, where libmpdec's
+    transform multiplication beats int's Karatsuba on large operands and
+    ``str()`` is linear.  Print the result with ``str()`` or
     ``digits.to_str``; reduce it only under EXACT.
     """
     _check_index(n)
     if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
         raise ValueError(f"Binet forms exist for kinds P and G only, got {kind.value}")
-    d = 1 + params.k
     with localcontext(EXACT):
-        if estimated_digits(params.k, n) > DECIMAL_MIN_DIGITS:
-            d = Decimal(d)
+        d = Decimal(1 + params.k)
         if kind is SeqKind.PELL:
             return _root_power(d, n, 1)
         return params.a * _root_power(d, n, 0)

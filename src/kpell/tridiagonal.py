@@ -12,10 +12,10 @@ elimination.
 
 Grids are made a row at a time with no Python-level step per cell: each
 adjugate row is a few ``map``/``accumulate`` passes, each row of strings one
-``map(str, row)`` after one size test (``to_str`` only past STR_MAX_BITS),
-each text line one ``map(str.rjust, row, widths)`` joined.  Inverses are
-printed by ``inverse_strings`` alone: a cell x / det is reduced by
-gcd(x, bound), where ``bound`` divides det and is built from the
+``digits.to_strs`` (one ``map(str, row)`` unless the row holds a huge int or
+a ratio), each text line one ``map(str.rjust, row, widths)`` joined.
+Inverses are printed by ``inverse_strings`` alone: a cell x / det is reduced
+by gcd(x, bound), where ``bound`` divides det and is built from the
 continuants' own gcds with det, so the per-cell gcd is small; each distinct
 denominator is printed once.  ``fractions`` is imported only for matrices
 of fractions.
@@ -29,7 +29,7 @@ from math import gcd, lcm, prod
 from operator import add, floordiv, getitem, mul, neg
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .digits import STR_MAX_BITS, to_str
+from .digits import to_str, to_strs
 from .sequences import SeqKind, SeqParams, _walk, initial_pair
 
 if TYPE_CHECKING:
@@ -274,22 +274,13 @@ def bareiss_det(m: DenseMat) -> int:
     return sign * a[-1][-1]
 
 
-def _strings(row: Sequence[Entry]) -> list[str]:
-    """``to_str`` of each entry: ``str()`` unless the row holds an int past STR_MAX_BITS."""
-    top = max(max(row), -min(row))
-    if isinstance(top, int) and top.bit_length() <= STR_MAX_BITS:
-        return list(map(str, row))
-    return list(map(to_str, row))
-
-
 def entry_strings(m: DenseMat) -> list[list[str]]:
     """All entries as exact decimal/ratio strings, row-major.
 
-    Each row is converted by one ``map``, through ``to_str`` only if the row
-    holds an int past STR_MAX_BITS, so an integer matrix never needs
-    Python's int->str digit limit lifted.
+    Each row is converted by ``digits.to_strs``, so no matrix, of ints or of
+    fractions, needs Python's int->str digit limit lifted.
     """
-    return [_strings(row) for row in m.rows]
+    return list(map(to_strs, m.rows))
 
 
 def inverse_strings(t: Tridiag) -> list[list[str]]:
@@ -332,7 +323,7 @@ def inverse_strings(t: Tridiag) -> list[list[str]]:
             suffix[g] = "/" + to_str(den) if den != 1 else ""
         if det < 0:  # the sign goes on the numerator
             row = list(map(neg, row))
-        nums = _strings(list(map(floordiv, row, gs)))
+        nums = to_strs(list(map(floordiv, row, gs)))
         cells.append(list(map(add, nums, map(suffix.__getitem__, gs))))
     return cells
 

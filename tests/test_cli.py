@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpell import cli, digits, sequences
+from kpell import cli, digits
 from kpell.cli import main
-from kpell.digits import DECIMAL_MIN_DIGITS, STR_MAX_BITS, to_str
-from kpell.sequences import SeqKind, SeqParams, estimated_digits, term_stream
+from kpell.digits import STR_MAX_BITS, to_str
+from kpell.sequences import SeqKind, SeqParams, term_stream
 from kpell.tridiagonal import gen_matrix, theta_phi
 
 
@@ -62,7 +62,8 @@ class TestTable:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_numeric_rows_past_the_print_threshold(self, capsys, fmt):
-        # At k = 2**59 a term passes STR_MAX_BITS near n = 475; the table walks on in Decimal.
+        # At k = 2**59 a term passes STR_MAX_BITS near n = 475, past which str() of an int
+        # would need the digit limit lifted.
         k, n_max = 2**59, 520
         terms = list(islice(term_stream(SeqKind.PELL, SeqParams(k)), n_max + 1))
         assert terms[-1].bit_length() > STR_MAX_BITS + 1000
@@ -76,6 +77,23 @@ class TestTable:
         else:
             rows = [line.split("\t")[1] for line in out.splitlines()]
         assert rows == want
+
+    @pytest.mark.parametrize(
+        "fmt, size, sha256",
+        [
+            ("text", 24_077_672, "c516f70ec4468b3c4e9e8ce954e94c9c73ae97ce6d7d58e1e7a1bbc3729a850d"),
+            ("json", 24_548_179, "9a08734aa99e61409d738eee9405a4b69db03f0885ba7d96d61b10e585916d45"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, fmt, size, sha256):
+        # At k = 1, term 11,012 is the first past STR_MAX_BITS.
+        code, out, _ = run(
+            capsys, "table", "--kind", "P", "--k", "1", "--n-max", "11200", "--format", fmt
+        )
+        assert code == 0
+        data = out.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
 
     def test_symbolic_pell(self, capsys):
         code, out, _ = run(capsys, "table", "--kind", "P", "--symbolic", "--n-max", "3")
@@ -232,7 +250,6 @@ class TestEval:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_decimal_fast_route_matches_recurrence(self, capsys, fmt):
         n = 30_011  # past the cross-check limit, so only this test compares them
-        assert estimated_digits(2, n) > DECIMAL_MIN_DIGITS
         argv = ["eval", "--kind", "P", "--k", "2", "--n", str(n), "--format", fmt]
         code, fast_out, _ = run(capsys, *argv, "--method", "fast")
         assert code == 0
@@ -243,12 +260,34 @@ class TestEval:
     @pytest.mark.parametrize("kind", [("P",), ("G", "--a", "3")])
     def test_decimal_binet_route_matches_recurrence(self, capsys, kind, fmt):
         n = 30_011  # past the cross-check limit, so only this test compares them
-        assert n > cli.CROSS_CHECK_LIMIT and estimated_digits(2, n) > DECIMAL_MIN_DIGITS
+        assert n > cli.CROSS_CHECK_LIMIT
         argv = ["eval", "--kind", *kind, "--k", "2", "--n", str(n), "--format", fmt]
         code, binet_out, _ = run(capsys, *argv, "--method", "binet")
         assert code == 0
         _, rec_out, _ = run(capsys, *argv)
         assert binet_out == rec_out
+
+    @pytest.mark.parametrize(
+        "argv, size, sha256",
+        [
+            (
+                ("--kind", "P", "--k", "2", "--n", "300"),
+                132,
+                "cc9bdfb2c226b04a4f5f887137f4370d42688c292e748f430b79c5c7da3dfa36",
+            ),
+            (  # n < 2: the root power is the int pair (1, n)
+                ("--kind", "G", "--k", "3", "--a", "2", "--n", "1"),
+                2,
+                "53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3",
+            ),
+        ],
+    )
+    def test_binet_output_is_pinned(self, capsys, argv, size, sha256):
+        code, out, _ = run(capsys, "eval", *argv, "--method", "binet")
+        assert code == 0
+        data = out.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
 
     def test_guard_trips_recurrence(self, capsys, monkeypatch):
         monkeypatch.setenv("KPELL_GUARD_N", "50")
@@ -494,8 +533,8 @@ class TestMatrix:
             assert self._theta_phi_shown(kind, k, a, n, fmt) == want
 
     def test_theta_phi_converts_a_pair_once_per_walk(self, monkeypatch):
-        # Past STR_MAX_BITS each walk converts its pair once and goes on in
-        # Decimal; converting every continuant through to_str would call
+        # Each walk runs in Decimal from its first step, so no continuant is
+        # converted; printing every continuant through to_str would call
         # to_decimal about 45 times per walk here.
         k, n = 2**59, 520
         tp = theta_phi(gen_matrix(SeqKind.PELL, SeqParams(k), n))
@@ -509,7 +548,6 @@ class TestMatrix:
             return convert(value)
 
         monkeypatch.setattr(digits, "to_decimal", counted)
-        monkeypatch.setattr(sequences, "to_decimal", counted)
         for fmt in ("text", "json"):
             calls.clear()
             assert self._theta_phi_shown("P", k, 1, n, fmt) == want

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kpell.digits import STR_MAX_BITS, to_decimal, to_str
+from kpell.digits import STR_MAX_BITS, to_decimal, to_str, to_strs
 
 # Decimal lengths on both sides of the cutoff: 2**STR_MAX_BITS has this many digits.
 CUTOFF_DIGITS = math.ceil(STR_MAX_BITS * math.log10(2))
@@ -49,3 +49,19 @@ def test_to_decimal_is_exact():
 @pytest.mark.parametrize("value", [Decimal("-12345678901234567890"), Fraction(-3, 7), True, "x"])
 def test_other_values_print_with_str(value):
     assert to_str(value) == str(value)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0, 1, -2, 3**20, 7],
+        [5, -(2 ** (STR_MAX_BITS + 100)) - 1, 7],
+        [Fraction(1, 3), Fraction(-(10**5000) - 1, 7), Fraction(-3, 10**5000 + 1),
+         Fraction(10**5000), Fraction(4), Fraction(0)],
+    ],
+    ids=["small-ints", "one-huge-negative-int", "fractions"],
+)
+def test_row_form_equals_to_str_of_each_entry(row, int_str_limit):
+    want = list(map(str, row))
+    int_str_limit(4300)
+    assert to_strs(row) == list(map(to_str, row)) == want

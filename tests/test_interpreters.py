@@ -15,27 +15,29 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MINORS = ("3.10", "3.12", "3.13")
-# bench and eval run the doubling loop on Decimal; bench prints a digest, eval
-# every digit, for the fast route and for Binet on P and G.  The blocked
-# recurrence runs in eval (printed through to_str) and in bench.  Binet runs
-# in integers at a perfect-square 1+k = 4, and the CLI cross-checks it against
-# the recurrence.  verify renders integer sides, k = 3 among them, and the
-# FAIL lines of eigen-verbatim, which exits 1 by design; matrix
-# renders the inverse's reduced ratio cells (their gcds bounded through
-# theta/phi, JSON lists of strings quoted in one pass), a cofactor grid
-# formatted a row at a time, and theta-phi continuants of up to 15,341
-# bits (k = 2**59) and about 16,000 bits (G, k = 10**6, some 200 steps of
-# each walk), past STR_MAX_BITS, from the printing walk on Decimal; table
-# renders symbolic rows.  The JSON writer streams a table's rows, theta-phi's
-# two lists, a sweep's row texts, FAIL rows of eigen-verbatim among them, and
-# a cofactor grid's rows; each interpreter's own json.dumps writes the heads
-# and a whole eval payload.
+# bench and eval run the doubling loop on Decimal at every size: bench prints
+# a digest (a Decimal %), eval every digit, for the fast route and for Binet on
+# P and G, at small n too, where the CLI cross-checks them against the
+# recurrence, and at a perfect-square 1+k = 4.  The blocked recurrence runs in
+# eval (printed through to_str) and in bench.  verify renders integer sides,
+# k = 3 among them, and the FAIL lines of eigen-verbatim, which exits 1 by
+# design; matrix renders the inverse's reduced ratio cells (their gcds bounded
+# through theta/phi, JSON lists of strings quoted in one pass), a cofactor grid
+# formatted a row at a time, and theta-phi continuants from the printing walk,
+# which runs on Decimal from its first step, up to 15,341 bits (k = 2**59) and
+# about 16,000 bits (G, k = 10**6), past STR_MAX_BITS; table renders symbolic
+# rows and numeric rows from the same walk, small ones at k = 1.  The JSON
+# writer streams a table's rows, theta-phi's two lists, a sweep's row texts,
+# FAIL rows of eigen-verbatim among them, and a cofactor grid's rows; each
+# interpreter's own json.dumps writes the heads and a whole eval payload.
 COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("bench", "--k", "1", "--n", "100000", "--method", "recurrence"),
+    ("bench", "--k", "2", "--n", "1000"),
     ("eval", "--kind", "G", "--k", "2", "--a", "3", "--n", "60000"),
     ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast"),
     ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast", "--format", "json"),
+    ("eval", "--kind", "P", "--k", "3", "--n", "300", "--method", "fast"),
     ("eval", "--kind", "G", "--k", "3", "--a", "2", "--n", "5000", "--method", "binet"),
     ("eval", "--kind", "P", "--k", "2", "--n", "30011", "--method", "binet"),
     ("eval", "--kind", "G", "--k", "5", "--a", "3", "--n", "30011", "--method", "binet"),
@@ -56,6 +58,7 @@ COMPARED = (
      "--format", "json"),
     ("matrix", "--kind", "G", "--k", "1000000", "--a", "3", "--n", "1600", "--show", "theta-phi"),
     ("table", "--kind", "G", "--symbolic", "--n-max", "60"),
+    ("table", "--kind", "P", "--k", "1", "--n-max", "2000"),
     ("table", "--kind", "G", "--k", "2", "--a", "3", "--n-max", "40", "--format", "json"),
     ("verify", "--identities", "all,eigen-verbatim", "--k-max", "2", "--a-max", "2",
      "--n-max", "6", "--format", "json"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kpell.digits import DECIMAL_MIN_DIGITS, EXACT, STR_MAX_BITS, to_str
+from kpell.digits import EXACT, STR_MAX_BITS, to_str
 from kpell.quadratic import QuadNum
 from kpell.sequences import (
     DEFAULT_GUARD_N,
@@ -222,7 +222,6 @@ class TestRootPower:
     @pytest.mark.parametrize("k", [1, 5])
     def test_decimal_pair_equals_int_pair(self, k):
         n = 30_011
-        assert estimated_digits(k, n) > DECIMAL_MIN_DIGITS
         with localcontext(EXACT):
             pair = _root_power(Decimal(1 + k), n)
             assert all(isinstance(v, Decimal) for v in pair)
@@ -232,18 +231,15 @@ class TestRootPower:
 class TestBinetTerm:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_small_terms_stay_int(self, k):
+        # binet_term's Decimal equals the int routes' value
         params = SeqParams(k, 3)
-        assert estimated_digits(k, 1000) < DECIMAL_MIN_DIGITS
-        value = binet_term(SeqKind.PELL, params, 1000)
-        assert type(value) is int and value == pell_binet(k, 1000)
-        value = binet_term(SeqKind.GEN_PELL, params, 1000)
-        assert type(value) is int and value == gen_binet(params, 1000)
+        assert binet_term(SeqKind.PELL, params, 1000) == pell_binet(k, 1000)
+        assert binet_term(SeqKind.GEN_PELL, params, 1000) == gen_binet(params, 1000)
 
     @pytest.mark.parametrize("k", [1, 3, 5])  # 1+k = 4 is a square
     def test_huge_terms_are_exact_decimals(self, k, int_str_limit):
         int_str_limit(0)
         n, params = 40_001, SeqParams(k, 3)
-        assert estimated_digits(k, n) > DECIMAL_MIN_DIGITS
         value = binet_term(SeqKind.PELL, params, n)
         assert isinstance(value, Decimal) and str(value) == str(pell_binet(k, n))
         value = binet_term(SeqKind.GEN_PELL, params, n)
@@ -267,22 +263,18 @@ class TestPrintStream:
         ],
     )
     def test_equals_term_stream_across_the_switch(self, kind, params):
-        # The printing walk that ``table`` runs: row n stays an int while
-        # term n+1 fits STR_MAX_BITS, then it is a Decimal.
-        terms = term_stream(kind, params)
-        value, after = next(terms), next(terms)
+        # The printing walk that ``table`` runs, in Decimal from row 0: each
+        # row equals the int term and prints as to_str prints it, across
+        # to_str's switch at STR_MAX_BITS (n = 11,012 at k = 1) and 40 rows on.
         past = 0
         walk = _walk(*initial_pair(kind, params), repeat((2, params.k)), printing=True)
-        for shown in walk:
-            fits = after.bit_length() <= STR_MAX_BITS
-            assert type(shown) is (int if fits else Decimal)
+        for shown, value in zip(walk, term_stream(kind, params)):
             assert shown == value
-            if not fits:
-                assert str(shown) == to_str(value)
+            assert str(shown) == to_str(value)
+            if value.bit_length() > STR_MAX_BITS:
                 past += 1
                 if past == 40:
                     break
-            value, after = after, next(terms)
 
 
 class TestConversions:
@@ -341,14 +333,12 @@ class TestFastDoubling:
             pell_fast(1, -1)
 
     def test_small_terms_stay_int(self):
-        assert estimated_digits(1, 1000) < DECIMAL_MIN_DIGITS
-        value = binet_term(SeqKind.PELL, SeqParams(1), 1000)
-        assert type(value) is int and value == pell_fast(1, 1000)[0]
+        # binet_term's Decimal equals pell_fast's int
+        assert binet_term(SeqKind.PELL, SeqParams(1), 1000) == pell_fast(1, 1000)[0]
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("n", [30_011, 10**6])
     def test_decimal_doubling_digest_matches_int(self, k, n):
-        assert estimated_digits(k, n) > DECIMAL_MIN_DIGITS
         value = binet_term(SeqKind.PELL, SeqParams(k), n)
         assert isinstance(value, Decimal)
         with localcontext(EXACT):

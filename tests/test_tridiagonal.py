@@ -515,6 +515,18 @@ def test_entry_strings_past_the_default_digit_limit(int_str_limit):
     assert cells == [[str(big), "1"], ["1", "1"]]
 
 
+def test_fraction_entries_past_the_default_digit_limit(int_str_limit):
+    big = 10**5000 + 1
+    t = Tridiag((2**15_000 + 1, 3), (1,), (1,))
+    int_str_limit(4300)
+    ratio = entry_strings(DenseMat([[Fraction(big, 3)]]))
+    cells = entry_strings(usmani_inverse(t))
+    want = inverse_strings(t)
+    int_str_limit(0)
+    assert ratio == [[f"{big}/3"]]
+    assert cells == want == reduced_cells(t)
+
+
 def reduced_cells(t):
     """The inverse's cells as Fraction prints them, from the integer adjugate."""
     det = det_continuant(t)
