@@ -94,9 +94,10 @@ def to_str(value: object) -> str:
 
 
 def to_strs(row: Sequence) -> list[str]:
-    """``list(map(to_str, row))``: one ``map(str, row)`` unless the row holds a
-    ratio or an int past STR_MAX_BITS."""
-    top = max(max(row), -min(row))
-    if isinstance(top, int) and top.bit_length() <= STR_MAX_BITS:
-        return list(map(str, row))
-    return list(map(to_str, row))
+    """``list(map(to_str, row))``: one ``map(str, row)`` when every entry is an
+    int of at most STR_MAX_BITS bits."""
+    try:
+        fits = max(map(int.bit_length, row), default=0) <= STR_MAX_BITS
+    except TypeError:  # a ratio
+        fits = False
+    return list(map(str if fits else to_str, row))

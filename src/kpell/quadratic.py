@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+from .digits import to_str
+
 
 def _is_scalar(x: object) -> bool:
     return isinstance(x, (int, Fraction, Rational))
@@ -183,15 +185,16 @@ class QuadNum:
         return f"QuadNum({self._p!r}, {self._q!r}, d={self._d})"
 
     def __str__(self) -> str:
+        # digits.to_str prints each part past CPython's int->str digit limit
         if not self._q:
-            return str(self._p)
+            return to_str(self._p)
         root = f"sqrt({self._d})"
         mag = abs(self._q)
-        term = root if mag == 1 else f"{mag}*{root}"
+        term = root if mag == 1 else f"{to_str(mag)}*{root}"
         if not self._p:
             return term if self._q > 0 else f"-{term}"
         sign = "+" if self._q > 0 else "-"
-        return f"{self._p} {sign} {term}"
+        return f"{to_str(self._p)} {sign} {term}"
 
 
 def quad_roots(k: int) -> tuple[QuadNum, QuadNum]:

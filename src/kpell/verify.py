@@ -9,7 +9,8 @@ entry: its body and its domain of valid index tuples.  A ``check_*`` call
 refuses a tuple outside the domain and feeds the body terms read one at a time
 through ``term``; a sweep runs every valid tuple in 0..n_max and feeds it
 integer prefixes, each built once and shared: G's for each (k, a), P's and
-d'Ocagne's root powers for each k.  The two eigenvalue checks are
+q's for each k.  Every body reads sequence terms only: d'Ocagne's root power
+(1 + sqrt(1+k))**j is q_j + P_j*sqrt(1+k).  The two eigenvalue checks are
 floating-point cross-checks and are therefore *not* part of the ``"all"``
 selection, whose checks are exact; they must be selected by name.
 """
@@ -22,7 +23,7 @@ from itertools import chain, product, starmap
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .digits import to_str
-from .sequences import SeqKind, SeqParams, _root_power, guard_index, prefix, term
+from .sequences import SeqKind, SeqParams, guard_index, prefix, term
 
 
 class CheckResult(namedtuple("CheckResult", "identity_name inputs lhs rhs residual_is_zero")):
@@ -58,25 +59,17 @@ class CheckResult(namedtuple("CheckResult", "identity_name inputs lhs rhs residu
         }
 
 
-# The root powers r1**e = x + y*sqrt(1+k) of k as pairs (x, y), indexed by e,
-# read like the terms of a kind: a list from e = 0 in a sweep, like a prefix.
-_ROOTS = "roots"
-
-
 class _Walk:
-    """Terms read one at a time through ``term``, or root powers through
-    ``_root_power``, for a single check.
+    """Terms of one kind read one at a time through ``term``, for a single check.
 
     A single check reads a handful of indices, so it walks the recurrence
     for each rather than hold a prefix: memory stays flat at large indices.
     """
 
-    def __init__(self, kind: SeqKind | str, params: SeqParams) -> None:
+    def __init__(self, kind: SeqKind, params: SeqParams) -> None:
         self.kind, self.params = kind, params
 
-    def __getitem__(self, n: int):
-        if self.kind is _ROOTS:
-            return _root_power(1 + self.params.k, n)
+    def __getitem__(self, n: int) -> int:
         return term(self.kind, self.params, n)
 
 
@@ -84,8 +77,8 @@ _Terms = list | _Walk
 
 
 # The bodies: both sides of one identity, read from the terms G (generalized,
-# k and a) and P (Pell, k) that precede ``params``: a shared prefix in a sweep,
-# a _Walk in a single check.  d'Ocagne also reads the root powers R of k.
+# k and a), q (modified Pell, k) and P (Pell, k) that precede ``params``: a
+# shared prefix in a sweep, a _Walk in a single check.
 
 
 def _catalan(G: _Terms, params: SeqParams, n: int, r: int) -> CheckResult:
@@ -102,12 +95,15 @@ def _cassini(G: _Terms, params: SeqParams, n: int) -> CheckResult:
     return CheckResult("cassini", {"a": a, "k": k, "n": n}, lhs, rhs)
 
 
-def _docagne(G: _Terms, R: _Terms, params: SeqParams, m: int, n: int) -> CheckResult:
+def _docagne(
+    G: _Terms, q: _Terms, P: _Terms, params: SeqParams, m: int, n: int
+) -> CheckResult:
     a, k = params.a, params.k
     d = 1 + k
     lhs = G[m] * G[n + 1] - G[m + 1] * G[n]
-    # s*sqrt(d)*(G_{m-n} - a*(x + y*sqrt(d))), with s = a*(-k)**n and r1**(m-n) = x + y*sqrt(d)
-    x, y = R[m - n]
+    # s*sqrt(d)*(G_{m-n} - a*(x + y*sqrt(d))), with s = a*(-k)**n and
+    # r1**(m-n) = x + y*sqrt(d) = q_{m-n} + P_{m-n}*sqrt(d)
+    x, y = q[m - n], P[m - n]
     s = a * (-k) ** n
     rhs = -s * a * y * d
     root_coeff = s * (G[m - n] - a * x)  # zero whenever the identity holds
@@ -185,15 +181,14 @@ class _Identity(NamedTuple):
     """One registry entry: the prefixes a body reads, its domain and its sweep.
 
     ``body(*prefixes, params, *index)`` takes one prefix per entry of
-    ``kinds``, or the root powers of k for the entry ``_ROOTS``; ``top(n_max)``
-    is the largest index the sweep's tuples read.  ``domain`` is a triple
-    (arity, valid, rule): the index tuples are the tuples of ``arity`` ints
-    for which ``valid`` holds, and ``rule``, formatted with any other tuple,
-    is the text of its ValueError.  A sweep runs a over the grid only when
-    G is among ``kinds``.
+    ``kinds``; ``top(n_max)`` is the largest index the sweep's tuples read.
+    ``domain`` is a triple (arity, valid, rule): the index tuples are the
+    tuples of ``arity`` ints for which ``valid`` holds, and ``rule``,
+    formatted with any other tuple, is the text of its ValueError.  A sweep
+    runs a over the grid only when G is among ``kinds``.
     """
 
-    kinds: tuple[SeqKind | str, ...]
+    kinds: tuple[SeqKind, ...]
     top: Callable[[int], int]
     domain: tuple[int, Callable[..., bool], str]
     body: Callable[..., CheckResult]
@@ -216,7 +211,7 @@ def _matrices(a: int) -> tuple[tuple[str], ...]:
     return (("C",), ("D",)) if a == 1 else (("D",),)
 
 
-_G, _P = (SeqKind.GEN_PELL,), (SeqKind.PELL,)
+_G, _q, _P = (SeqKind.GEN_PELL,), (SeqKind.MODIFIED_PELL,), (SeqKind.PELL,)
 # Index domains (arity, valid, rule), named after the indices they take
 _N = (1, lambda n: n >= 1, "need n >= 1, got {0!r}")
 _NR = (2, lambda n, r: n >= r >= 1, "need n >= r >= 1, got n={0!r}, r={1!r}")
@@ -229,7 +224,7 @@ _ORDER = (1, lambda n: n >= 1, "matrix order must be >= 1, got {0!r}")
 _REGISTRY: dict[str, _Identity] = {
     "catalan": _Identity(_G, lambda n: 2 * n, _NR, _catalan),
     "cassini": _Identity(_G, lambda n: n + 1, _N, _cassini),
-    "docagne": _Identity(_G + (_ROOTS,), lambda n: n + 1, _MN, _docagne),
+    "docagne": _Identity(_G + _q + _P, lambda n: n + 1, _MN, _docagne),
     "convolution1": _Identity(_P, lambda n: 2 * n, _NM, _convolution1),
     "convolution2": _Identity(_P, lambda n: 2 * n, _NM, _convolution2),
     # the squares' sweep reads plain prefixes, which the O(n) guard does not cover
@@ -274,8 +269,8 @@ def check_docagne(params: SeqParams, m: int, n: int) -> CheckResult:
 
     The right side is a*(-1)**n * k**n * sqrt(1+k) * (G_{m-n} - a*r1**(m-n)),
     irrational termwise for non-square 1+k.  It is evaluated in integers, with
-    r1**(m-n) as a pair in Z[sqrt(1+k)].  Both sides are ints, except a right
-    side with a nonzero sqrt(1+k) part, which is returned as a QuadNum.
+    r1**(m-n) = q_{m-n} + P_{m-n}*sqrt(1+k).  Both sides are ints, except a
+    right side with a nonzero sqrt(1+k) part, which is returned as a QuadNum.
     """
     return _check("docagne", params, m, n)
 
@@ -479,20 +474,17 @@ def sweep(
 
     The prefixes live as long as the iterator: each is computed once, up to
     the largest index any selected identity reads, G's for each (k, a), P's
-    and the list of root powers for each k.
+    and q's for each k.
     """
     selected = expand_selection(identities)
     top = max((_REGISTRY[name].top(grid.n_max) for name in selected), default=0)
     prefixes: dict[tuple, list] = {}
 
-    def shared(kind: SeqKind | str, params: SeqParams) -> list:
-        # only G depends on a; the other terms and the root powers on k alone
+    def shared(kind: SeqKind, params: SeqParams) -> list[int]:
+        # only G depends on a; the other kinds on k alone
         key = (kind, params) if kind is SeqKind.GEN_PELL else (kind, params.k)
         if key not in prefixes:
-            if kind is _ROOTS:
-                prefixes[key] = [_root_power(1 + params.k, e) for e in range(top + 1)]
-            else:
-                prefixes[key] = prefix(kind, params, top + 1)
+            prefixes[key] = prefix(kind, params, top + 1)
         return prefixes[key]
 
     batches = chain.from_iterable(_batches(name, grid, shared) for name in selected)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpell import cli, digits
+from kpell import cli, digits, sequences
 from kpell.cli import main
 from kpell.digits import STR_MAX_BITS, to_str
 from kpell.sequences import SeqKind, SeqParams, term_stream
@@ -533,25 +533,27 @@ class TestMatrix:
             assert self._theta_phi_shown(kind, k, a, n, fmt) == want
 
     def test_theta_phi_converts_a_pair_once_per_walk(self, monkeypatch):
-        # Each walk runs in Decimal from its first step, so no continuant is
-        # converted; printing every continuant through to_str would call
-        # to_decimal about 45 times per walk here.
+        # Each walk, theta's and phi's, converts its starting pair to Decimal
+        # and runs in Decimal from there, so no continuant goes through
+        # to_decimal; printing every continuant through to_str would call it
+        # about 45 times per walk here.
         k, n = 2**59, 520
         tp = theta_phi(gen_matrix(SeqKind.PELL, SeqParams(k), n))
         want = list(map(to_str, tp.theta)), list(map(to_str, tp.phi))
         assert sum(x.bit_length() > STR_MAX_BITS for x in tp.theta) > 40
-        calls = []
-        convert = digits.to_decimal
+        converted, made = [], []
 
-        def counted(value):
-            calls.append(value)
-            return convert(value)
+        def counted(calls, convert):
+            return lambda value: calls.append(value) or convert(value)
 
-        monkeypatch.setattr(digits, "to_decimal", counted)
+        monkeypatch.setattr(digits, "to_decimal", counted(converted, digits.to_decimal))
+        monkeypatch.setattr(sequences, "Decimal", counted(made, sequences.Decimal))
         for fmt in ("text", "json"):
-            calls.clear()
+            converted.clear()
+            made.clear()
             assert self._theta_phi_shown("P", k, 1, n, fmt) == want
-            assert len(calls) <= 4, fmt
+            assert len(converted) <= 4, fmt
+            assert len(made) == 2 * 2, fmt
 
     def test_n_must_be_positive(self, capsys):
         code, _, err = run(capsys, "matrix", "--kind", "P", "--k", "1", "--n", "0")

@@ -58,8 +58,9 @@ def test_other_values_print_with_str(value):
         [5, -(2 ** (STR_MAX_BITS + 100)) - 1, 7],
         [Fraction(1, 3), Fraction(-(10**5000) - 1, 7), Fraction(-3, 10**5000 + 1),
          Fraction(10**5000), Fraction(4), Fraction(0)],
+        [Fraction(10**5000 + 1, 10**4999), 100, 0, 1],
     ],
-    ids=["small-ints", "one-huge-negative-int", "fractions"],
+    ids=["small-ints", "one-huge-negative-int", "fractions", "huge-ratio-below-a-small-int"],
 )
 def test_row_form_equals_to_str_of_each_entry(row, int_str_limit):
     want = list(map(str, row))

@@ -20,8 +20,8 @@ MINORS = ("3.10", "3.12", "3.13")
 # P and G, at small n too, where the CLI cross-checks them against the
 # recurrence, and at a perfect-square 1+k = 4.  The blocked recurrence runs in
 # eval (printed through to_str) and in bench.  verify renders integer sides,
-# k = 3 among them, and the FAIL lines of eigen-verbatim, which exits 1 by
-# design; matrix renders the inverse's reduced ratio cells (their gcds bounded
+# k = 3 among them, d'Ocagne's from q and P prefixes at square 1+k (k = 3, 8)
+# too, and the FAIL lines of eigen-verbatim, which exits 1 by design; matrix renders the inverse's reduced ratio cells (their gcds bounded
 # through theta/phi, JSON lists of strings quoted in one pass), a cofactor grid
 # formatted a row at a time, and theta-phi continuants from the printing walk,
 # which runs on Decimal from its first step, up to 15,341 bits (k = 2**59) and
@@ -62,6 +62,8 @@ COMPARED = (
     ("table", "--kind", "G", "--k", "2", "--a", "3", "--n-max", "40", "--format", "json"),
     ("verify", "--identities", "all,eigen-verbatim", "--k-max", "2", "--a-max", "2",
      "--n-max", "6", "--format", "json"),
+    ("verify", "--identities", "docagne", "--k-max", "8", "--a-max", "2", "--n-max", "12",
+     "--format", "json"),
 )
 VERIFY = ("verify", "--k-max", "2", "--a-max", "2", "--n-max", "8")
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from kpell import jsonout, verify
-from kpell.sequences import SeqKind, SeqParams, _root_power, prefix
+from kpell.sequences import SeqKind, SeqParams, prefix
 from kpell.verify import CheckResult, SweepGrid, json_rows, run_suite
 
 PAYLOADS = [
@@ -153,15 +153,16 @@ def test_template_fills_to_the_item():
 # -- verify's rows: one template per identity, input keys and input types ----------
 
 
-def _failing_docagne() -> list:
+def _failing_docagne(bump: int) -> list:
     # one G term bumped: the right side keeps a sqrt(1+k) part and is a QuadNum
     entry = verify._REGISTRY["docagne"]
     params = SeqParams(2, 1)
     G = prefix(SeqKind.GEN_PELL, params, 12)
-    G[4] += 1
-    R = [_root_power(1 + params.k, e) for e in range(12)]
+    G[4] += bump
+    q = prefix(SeqKind.MODIFIED_PELL, params, 12)
+    P = prefix(SeqKind.PELL, params, 12)
     indices = entry.indices(list(entry.valid_tuples(8)), 1)
-    return [entry.body(G, R, params, *index) for index in indices]
+    return [entry.body(G, q, P, params, *index) for index in indices]
 
 
 def _results() -> list:
@@ -170,7 +171,8 @@ def _results() -> list:
     return [
         *run_suite(grid).results,
         *run_suite(SweepGrid(k_max=3, a_max=1, n_max=6), ("eigen", "eigen-verbatim")).results,
-        *_failing_docagne(),
+        *_failing_docagne(1),
+        *_failing_docagne(10**5000),  # sides past STR_MAX_BITS, a QuadNum among them
         big,
     ]
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kpell.digits import to_str
 from kpell.quadratic import QuadNum, quad_roots
 
 NONSQUARE_D = (2, 3, 5, 6, 7, 10)
@@ -156,6 +157,18 @@ def test_str_forms():
     assert str(QuadNum(0, -1, 2)) == "-sqrt(2)"
     assert str(QuadNum(0, 2, 3)) == "2*sqrt(3)"
     assert str(QuadNum(4, 0, 2)) == "4"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [QuadNum(10**5000, 3, 2), QuadNum(Fraction(1, 10**5000 + 1), -(10**5000), 5),
+     QuadNum(0, Fraction(10**5000, 7), 3), QuadNum(-(10**5000), 0, 2)],
+)
+def test_to_str_prints_parts_past_the_digit_limit(value, int_str_limit):
+    int_str_limit(0)
+    want = str(value)
+    int_str_limit(4300)
+    assert to_str(value) == str(value) == want
 
 
 def test_hash_consistent_with_eq():

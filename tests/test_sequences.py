@@ -206,6 +206,14 @@ class TestRootPower:
             x, y = _root_power(d, e)
             assert x * x - d * y * y == (1 - d) ** e
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])  # 1+k = 4, 9 are squares
+    def test_pair_is_the_q_and_p_terms(self, k):
+        # r1**e = q_e + P_e*sqrt(1+k): verify's d'Ocagne reads its root powers so
+        params = SeqParams(k)
+        for e in range(64):
+            terms = term(SeqKind.MODIFIED_PELL, params, e), term(SeqKind.PELL, params, e)
+            assert _root_power(1 + k, e) == terms, e
+
     @pytest.mark.parametrize("d", [2, 3, 4, 9, 16, 2**59 + 1])
     @pytest.mark.parametrize("backend", [int, Decimal])
     def test_one_coordinate_equals_the_pair(self, d, backend):

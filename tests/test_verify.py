@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from kpell import verify
 from kpell.quadratic import QuadNum, quad_roots
-from kpell.sequences import SeqKind, SeqParams, _root_power, prefix, term
+from kpell.sequences import SeqKind, SeqParams, prefix, term
 from kpell.verify import (
     EXACT_IDENTITIES,
     FLOAT_IDENTITIES,
@@ -321,47 +321,36 @@ class TestSharedPrefixes:
     @pytest.mark.parametrize("identity", EXACT_IDENTITIES)
     def test_perturbed_term_breaks_a_residual(self, identity):
         # Each side is computed on its own: a wrong term shows as a residual.
-        # d'Ocagne's root powers are pairs by exponent; either coordinate is perturbed.
         entry = verify._REGISTRY[identity]
         n_max, params = 8, SeqParams(2, 1)  # a = 1 sweeps both cofactor matrices
         top = entry.top(n_max)
-
-        def terms(kind):
-            if kind is verify._ROOTS:
-                return [_root_power(1 + params.k, e) for e in range(top + 1)]
-            return prefix(kind, params, top + 1)
-
-        clean = [terms(kind) for kind in entry.kinds]
+        clean = [prefix(kind, params, top + 1) for kind in entry.kinds]
         indices = entry.indices(list(entry.valid_tuples(n_max)), params.a)
 
         def all_zero(seqs):
             return all(entry.body(*seqs, params, *index).residual_is_zero for index in indices)
 
         assert all_zero(clean)
-        for which, seq in enumerate(clean):
+        for which in range(len(clean)):
             for pos in range(3, n_max + 1):
-                if isinstance(seq[pos], tuple):
-                    x, y = seq[pos]
-                    bumped = [(x + 1, y), (x, y + 1)]
-                else:
-                    bumped = [seq[pos] + 1]
-                for value in bumped:
-                    seqs = [s.copy() for s in clean]
-                    seqs[which][pos] = value
-                    assert not all_zero(seqs), (which, pos, value)
+                seqs = [s.copy() for s in clean]
+                seqs[which][pos] += 1
+                assert not all_zero(seqs), (which, pos)
 
     def test_sweep_computes_each_root_power_once(self, monkeypatch):
+        # d'Ocagne's root powers q_j + P_j*sqrt(1+k) come from one q prefix and
+        # one P prefix per k, each up to 13, the largest index the sweep reads
         calls = []
 
-        def counted(d, e, coord=None):
-            calls.append((d, e, coord))
-            return _root_power(d, e, coord)
+        def counted(kind, params, n):
+            calls.append((kind, params.k, n))
+            return prefix(kind, params, n)
 
-        monkeypatch.setattr(verify, "_root_power", counted)
+        monkeypatch.setattr(verify, "prefix", counted)
         report = run_suite(SweepGrid(k_max=3, a_max=3, n_max=12), ("docagne",))
         assert report.all_passed and len(report.results) == 3 * 3 * 78
-        # one call per k and exponent 0..13, the largest index the sweep reads
-        assert len(calls) == len(set(calls)) == 3 * 14
+        for kind in (SeqKind.MODIFIED_PELL, SeqKind.PELL):
+            assert [c for c in calls if c[0] is kind] == [(kind, k, 14) for k in (1, 2, 3)]
 
     def test_sweep_builds_each_pell_prefix_once_per_k(self, monkeypatch):
         calls = []
