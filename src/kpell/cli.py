@@ -243,10 +243,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     params = SeqParams(args.k)
     for run in range(args.repeat):
         start = time.perf_counter()
-        if args.method == "fast":
-            value = binet_term(SeqKind.PELL, params, args.n)
-        else:
-            value = term(SeqKind.PELL, params, args.n)
+        value = _eval_dispatch(SeqKind.PELL, params, args.n, args.method)
         elapsed = time.perf_counter() - start
         with localcontext(EXACT):
             digest = value % (1 << 64)

@@ -182,7 +182,10 @@ class QuadNum:
     # -- display --------------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"QuadNum({self._p!r}, {self._q!r}, d={self._d})"
+        # repr() of each Fraction part, with its ints printed by to_str
+        ratio = "Fraction({}, {})".format
+        p, q = (ratio(*map(to_str, x.as_integer_ratio())) for x in (self._p, self._q))
+        return f"QuadNum({p}, {q}, d={self._d})"
 
     def __str__(self) -> str:
         # digits.to_str prints each part past CPython's int->str digit limit

@@ -11,15 +11,15 @@ and differ only in their first two terms:
     q (modified Pell):  1, 1
     G (generalized):    a, a        (a >= 1; a = 1 gives q)
 
-Three engines evaluate them, each exact:
+Two engines evaluate them, each exact:
 
 * ``_walk``, the one three-term walk, yields every run of terms (``prefix``,
   ``term_stream``, the CLI's tables) and a tridiagonal matrix's continuants
   (``kpell.tridiagonal``).  Printing, it runs in exact Decimal from its
   first step, so that each ``str()`` is linear and needs no digit limit.
-* ``term`` walks the recurrence in blocks of m steps, with coefficients below
-  2**BLOCK_BITS that ``_block`` builds from small ints, so that it checks the
-  O(log n) routes independently.
+  ``term`` walks m terms at a time, x_{i+m} = Q_m*x_i - (-k)**m * x_{i-m},
+  with coefficients below 2**BLOCK_BITS that ``_block`` builds from small
+  ints, so that it checks the O(log n) routes independently.
 * ``_root_power`` computes (1 + sqrt(1+k))**n = x + y*sqrt(1+k) by
   square-and-multiply on an integer pair, and each kind reads its term off
   that pair: P_n = y, P_{n+1} = x + y, q_n = x, Q_n = 2*x, G_n = a*x.  It
@@ -37,7 +37,7 @@ from collections import namedtuple
 from decimal import Decimal, localcontext
 from enum import Enum, unique
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice, pairwise, repeat
 from typing import Iterable, Iterator
 
 from .digits import EXACT
@@ -155,40 +155,35 @@ def guard_index(n: int) -> None:
 
 
 @lru_cache(maxsize=64)
-def _block(k: int) -> tuple[int, int, int, int, int]:
-    """(m, P_{m+1}, k*P_m, P_m, k*P_{m-1}): the longest block of the recurrence
-    whose matrix M**m = [[P_{m+1}, k*P_m], [P_m, k*P_{m-1}]] has every entry
-    below 2**BLOCK_BITS, walked on P in small ints.  m is 1 once k >= 2**59.
+def _block(k: int) -> tuple[int, int, int]:
+    """(m, Q_m, -(-k)**m): the step x_{i+m} = Q_m*x_i - (-k)**m * x_{i-m} between
+    terms m apart, for the longest m at which Q_m and k**m stay below
+    2**BLOCK_BITS, with Q walked in small ints.  It holds for every kind,
+    A*r1**n + B*r2**n with r1*r2 = -k and Q_m = r1**m + r2**m (Lucas, Amer. J.
+    Math. 1, 1878).  m is 1, the step (2, k), once k >= 2**30.
     """
     limit = 1 << BLOCK_BITS
-    m, p_prev, p, p_next = 1, 0, 1, 2
-    while True:
-        after = 2 * p_next + k * p
-        if after >= limit or k * p_next >= limit:
-            return m, p_next, k * p, p, k * p_prev
-        m, p_prev, p, p_next = m + 1, p, p_next, after
+    lucas = islice(_walk(2, 2, repeat((2, k))), 1, None)  # Q_1, Q_2, ...
+    for m, (q_m, q_next) in enumerate(pairwise(lucas), 1):
+        if q_next >= limit or k ** (m + 1) >= limit:
+            return m, q_m, -((-k) ** m)
 
 
 def term(kind: SeqKind, params: SeqParams, n: int) -> int:
     """The n-th term by direct recurrence (O(n), guarded by KPELL_GUARD_N).
 
-    It takes n // m blocks x_{j+m} = P_m*x_{j+1} + k*P_{m-1}*x_j, whose
-    entries stay below 2**BLOCK_BITS, then n mod m single steps: a block
-    costs four big-by-word products and two additions, m single steps 3m
-    passes over the big terms.  The entries come from the recurrence on
-    small ints, never from ``_root_power``, so ``term`` checks the O(log n)
-    routes independently.
+    With n = j*m + r, it reads x_r and x_{r+m} off single steps, then takes j
+    of ``_block``'s steps: each costs two big-by-word products and an
+    addition, where m single steps cost 3m passes over the big terms.  Q_m
+    comes from small ints, never from ``_root_power``, so ``term`` checks
+    the O(log n) routes independently.
     """
     _check_index(n)
     guard_index(n)
-    k = params.k
-    prev, cur = initial_pair(kind, params)
-    m, p_next, kp, p, kp_prev = _block(k)
-    if m > 1:
-        for _ in range(n // m):
-            prev, cur = p * cur + kp_prev * prev, p_next * cur + kp * prev
-        n %= m
-    return next(islice(_walk(prev, cur, repeat((2, k))), n, None))
+    m, q_m, e_m = _block(params.k)
+    j, r = divmod(n, m)
+    prev, cur = islice(term_stream(kind, params), r, r + m + 1, m)
+    return next(islice(_walk(prev, cur, repeat((q_m, e_m))), j, None))
 
 
 def prefix(kind: SeqKind, params: SeqParams, count: int) -> list[int]:

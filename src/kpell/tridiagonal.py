@@ -212,10 +212,12 @@ def usmani_inverse(t: Tridiag) -> DenseMat:
     """The exact inverse of a nonsingular tridiagonal matrix: adjugate / det."""
     from fractions import Fraction
 
-    det = det_continuant(t)
+    tp = theta_phi(t)  # one walk each way, for det and the adjugate alike
+    det = tp.determinant
     if det == 0:
         raise ValueError("matrix is singular")
-    return DenseMat._of_checked([[Fraction(x, det) for x in row] for row in adjugate(t).rows])
+    rows = _adjugate_rows(t, tp)
+    return DenseMat._of_checked([[Fraction(x, det) for x in row] for row in rows])
 
 
 def _cofactors(kind: SeqKind, k: int, a: int, n: int) -> DenseMat:

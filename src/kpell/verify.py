@@ -44,9 +44,11 @@ class CheckResult(namedtuple("CheckResult", "identity_name inputs lhs rhs residu
         return self[:4]
 
     def __repr__(self) -> str:
+        # an int side through to_str, which needs no digit limit
+        lhs, rhs = (to_str(v) if isinstance(v, int) else repr(v) for v in (self.lhs, self.rhs))
         return (
             f"CheckResult(identity_name={self.identity_name!r}, inputs={self.inputs!r}, "
-            f"lhs={self.lhs!r}, rhs={self.rhs!r})"
+            f"lhs={lhs}, rhs={rhs})"
         )
 
     def to_dict(self) -> dict:

@@ -228,8 +228,8 @@ def test_criterion_7_fast_doubling_performance():
 
 
 def test_criterion_7_recurrence_at_scale():
-    # G at n = 2*10^5 has ~87,000 digits.  term() walks it in blocks of 41
-    # steps in ~0.4 s; one step at a time took ~4.4 s (CPython 3.11.7, 2-CPU
+    # G at n = 2*10^5 has ~87,000 digits.  term() walks it 41 terms at a
+    # time in ~0.15 s; one step at a time took ~4.4 s (CPython 3.11.7, 2-CPU
     # x86-64 VM).
     params = SeqParams(2, 3)
     with criterion("criterion-7 recurrence at n=2*10^5", budget_s=1.2):

@@ -289,6 +289,14 @@ class TestEval:
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == sha256
 
+    def test_recurrence_output_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "eval", "--kind", "G", "--k", "2", "--a", "3", "--n", "60000")
+        assert code == 0
+        data = out.encode()
+        assert len(data) == 26_191
+        want = "bf4f27b0ba582f3c77c9e86bb724a71d03df3b031323ba54af2d28170bed1947"
+        assert hashlib.sha256(data).hexdigest() == want
+
     def test_guard_trips_recurrence(self, capsys, monkeypatch):
         monkeypatch.setenv("KPELL_GUARD_N", "50")
         code, _, err = run(capsys, "eval", "--kind", "P", "--k", "1", "--n", "100")

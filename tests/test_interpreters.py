@@ -18,10 +18,10 @@ MINORS = ("3.10", "3.12", "3.13")
 # bench and eval run the doubling loop on Decimal at every size: bench prints
 # a digest (a Decimal %), eval every digit, for the fast route and for Binet on
 # P and G, at small n too, where the CLI cross-checks them against the
-# recurrence, and at a perfect-square 1+k = 4.  The blocked recurrence runs in
-# eval (printed through to_str) and in bench.  verify renders integer sides,
-# k = 3 among them, d'Ocagne's from q and P prefixes at square 1+k (k = 3, 8)
-# too, and the FAIL lines of eigen-verbatim, which exits 1 by design; matrix renders the inverse's reduced ratio cells (their gcds bounded
+# recurrence, and at a perfect-square 1+k = 4.  The recurrence's steps m terms
+# apart run in eval (printed through to_str), with m = 1 at k = 2**31, and in
+# bench.  verify renders integer sides, k = 3 among them, d'Ocagne's from q and
+# P prefixes at square 1+k (k = 3, 8) too, and the FAIL lines of eigen-verbatim, which exits 1 by design; matrix renders the inverse's reduced ratio cells (their gcds bounded
 # through theta/phi, JSON lists of strings quoted in one pass), a cofactor grid
 # formatted a row at a time, and theta-phi continuants from the printing walk,
 # which runs on Decimal from its first step, up to 15,341 bits (k = 2**59) and
@@ -34,7 +34,9 @@ COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("bench", "--k", "1", "--n", "100000", "--method", "recurrence"),
     ("bench", "--k", "2", "--n", "1000"),
+    ("bench", "--k", "6", "--n", "20000", "--method", "recurrence"),
     ("eval", "--kind", "G", "--k", "2", "--a", "3", "--n", "60000"),
+    ("eval", "--kind", "Q", "--k", "2147483648", "--n", "3000"),
     ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast"),
     ("eval", "--kind", "P", "--k", "2", "--n", "50000", "--method", "fast", "--format", "json"),
     ("eval", "--kind", "P", "--k", "3", "--n", "300", "--method", "fast"),

@@ -159,16 +159,31 @@ def test_str_forms():
     assert str(QuadNum(4, 0, 2)) == "4"
 
 
-@pytest.mark.parametrize(
-    "value",
-    [QuadNum(10**5000, 3, 2), QuadNum(Fraction(1, 10**5000 + 1), -(10**5000), 5),
-     QuadNum(0, Fraction(10**5000, 7), 3), QuadNum(-(10**5000), 0, 2)],
-)
+HUGE = [
+    QuadNum(10**5000, 3, 2), QuadNum(Fraction(1, 10**5000 + 1), -(10**5000), 5),
+    QuadNum(0, Fraction(10**5000, 7), 3), QuadNum(-(10**5000), 0, 2),
+]
+
+
+@pytest.mark.parametrize("value", HUGE)
 def test_to_str_prints_parts_past_the_digit_limit(value, int_str_limit):
     int_str_limit(0)
     want = str(value)
     int_str_limit(4300)
     assert to_str(value) == str(value) == want
+
+
+def test_repr_text():
+    assert repr(QuadNum(Fraction(3, 2), -5, 7)) == "QuadNum(Fraction(3, 2), Fraction(-5, 1), d=7)"
+    assert repr(QuadNum(4, 1, 9)) == "QuadNum(Fraction(7, 1), Fraction(0, 1), d=9)"
+
+
+@pytest.mark.parametrize("value", HUGE)
+def test_repr_prints_parts_past_the_digit_limit(value, int_str_limit):
+    int_str_limit(0)
+    want = f"QuadNum({value.rational_part!r}, {value.root_coeff!r}, d={value.d})"
+    int_str_limit(4300)
+    assert repr(value) == want
 
 
 def test_hash_consistent_with_eq():

@@ -104,23 +104,38 @@ class TestGuard:
             recurrence_guard()
 
 
-BLOCK_KS = [1, 2, 3, 8, 1000, 2**31, 2**59, 2**61]
+BLOCK_KS = [1, 2, 3, 8, 1000, 2**30 - 1, 2**31, 2**59, 2**61]
 
 
 class TestBlockedWalk:
-    """``term`` jumps m steps per block; ``brute`` above takes them one at a time."""
+    """``term`` steps m terms at a time; ``brute`` above takes them one at a time."""
 
     @pytest.mark.parametrize("k", BLOCK_KS)
     def test_block_is_the_longest_that_fits_60_bits(self, k):
         m, *entries = _block(k)
-        P = brute(SeqKind.PELL, SeqParams(k), m + 3)
-        if m > 1:
-            assert entries == [P[m + 1], k * P[m], P[m], k * P[m - 1]]
-            assert max(entries) < 2**60
-        assert max(P[m + 2], k * P[m + 1]) >= 2**60  # one step more would not fit
+        Q = brute(SeqKind.PELL_LUCAS, SeqParams(k), m + 2)
+        assert entries == [Q[m], -((-k) ** m)]
+        if m > 1:  # m = 1 is the plain step (2, k), whatever k is
+            assert max(Q[m], k**m) < 2**60
+        assert max(Q[m + 1], k ** (m + 1)) >= 2**60  # one step more would not fit
 
     def test_block_lengths(self):
-        assert [_block(k)[0] for k in (1, 2, 2**59 - 1, 2**59, 2**61)] == [47, 41, 2, 1, 1]
+        assert [_block(k)[0] for k in (1, 2, 2**59 - 1, 2**59, 2**61)] == [47, 41, 1, 1, 1]
+        assert _block(2**30 - 1)[0] == 2
+        assert _block(2**30)[0] == 1
+
+    @pytest.mark.parametrize("kind", sorted(SeqKind, key=lambda s: s.value))
+    def test_terms_m_apart_take_the_lucas_step(self, kind):
+        """x_{i+m} = Q_m*x_i - (-k)**m * x_{i-m}: the step ``term`` takes, for every m."""
+        for k in (1, 2, 3, 8, 1000):
+            Q = brute(SeqKind.PELL_LUCAS, SeqParams(k), 51)
+            for a in (1, 2, 9):
+                x = brute(kind, SeqParams(k, a), 121)
+                for m in range(1, 51):
+                    step = -((-k) ** m)
+                    assert all(
+                        x[i + m] == Q[m] * x[i] + step * x[i - m] for i in range(m, 121 - m)
+                    )
 
     @pytest.mark.parametrize("k", BLOCK_KS)
     @pytest.mark.parametrize("kind", sorted(SeqKind, key=lambda s: s.value))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kpell import tridiagonal
 from kpell.digits import STR_MAX_BITS, to_str
 from kpell.sequences import SeqKind, SeqParams, prefix, term
 from kpell.tridiagonal import (
@@ -353,6 +354,18 @@ class TestUsmaniInverse:
         ]
         for t in cases:
             assert usmani_inverse(t) == gauss_inverse(t.to_dense())
+
+    def test_walks_each_continuant_family_once(self, monkeypatch):
+        walks = []
+        minors = tridiagonal._minors
+        monkeypatch.setattr(
+            tridiagonal, "_minors", lambda *args, **kw: walks.append(args) or minors(*args, **kw)
+        )
+        t = gen_matrix(SeqKind.GEN_PELL, SeqParams(2, 3), 6)
+        for inverse in (usmani_inverse, inverse_strings):
+            walks.clear()
+            inverse(t)
+            assert len(walks) == 2, inverse.__name__
 
 
 class TestClosedFormInverses:

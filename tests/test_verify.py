@@ -195,6 +195,21 @@ class TestResultShape:
         assert d["residual_is_zero"] is True and d["lhs"] == d["rhs"]
         assert len(d["lhs"].lstrip("-")) > 4300
 
+    def test_repr_past_the_default_digit_limit(self, int_str_limit):
+        res = CheckResult("cassini", {"a": 1}, 10**5000, QuadNum(1, -(10**5000), 2))
+        int_str_limit(0)
+        want = (
+            f"CheckResult(identity_name='cassini', inputs={{'a': 1}}, lhs={res.lhs!r}, "
+            f"rhs=QuadNum(Fraction(1, 1), {res.rhs.root_coeff!r}, d=2))"
+        )
+        int_str_limit(4300)
+        assert repr(res) == want
+        small = CheckResult("docagne", {"m": 2, "n": 0}, -3, QuadNum(1, -2, 2))
+        assert repr(small) == (
+            "CheckResult(identity_name='docagne', inputs={'m': 2, 'n': 0}, lhs=-3, "
+            "rhs=QuadNum(Fraction(1, 1), Fraction(-2, 1), d=2))"
+        )
+
     def test_quadratic_sides_serialize_as_text(self):
         res = check_docagne(SeqParams(1, 1), m=2, n=0)
         d = res.to_dict()
