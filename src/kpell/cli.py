@@ -21,7 +21,7 @@ from itertools import chain, count, islice, repeat
 from typing import Sequence
 
 from .digits import EXACT, to_str
-from .sequences import SeqKind, SeqParams, _walk, binet_term, initial_pair, term
+from .sequences import SeqKind, SeqParams, _walk, binet_term, initial_pair, recurrence_guard, term
 
 # Every subcommand needs the modules above; the others are imported in the
 # subcommand, or the option, that runs them, so a process loads only those.
@@ -118,7 +118,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     params = _parse_params(args, kind)
     value = _eval_dispatch(kind, params, args.n, args.method)
     text = to_str(value)
-    if args.method != "recurrence" and args.n <= CROSS_CHECK_LIMIT:
+    # The check is the package's own work, not the caller's: it keeps within the guard.
+    checked = args.method != "recurrence" and args.n <= CROSS_CHECK_LIMIT
+    if checked and args.n <= recurrence_guard():
         # Compared as digits: the fast and Binet routes may hand back a Decimal.
         reference = to_str(term(kind, params, args.n))
         if text != reference:

@@ -170,7 +170,7 @@ def _block(k: int) -> tuple[int, int, int]:
 
 
 def term(kind: SeqKind, params: SeqParams, n: int) -> int:
-    """The n-th term by direct recurrence (O(n), guarded by KPELL_GUARD_N).
+    """The n-th term by direct recurrence (O(n), refused past KPELL_GUARD_N).
 
     With n = j*m + r, it reads x_r and x_{r+m} off single steps, then takes j
     of ``_block``'s steps: each costs two big-by-word products and an

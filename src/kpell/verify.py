@@ -194,7 +194,6 @@ class _Identity(NamedTuple):
     top: Callable[[int], int]
     domain: tuple[int, Callable[..., bool], str]
     body: Callable[..., CheckResult]
-    guarded: bool = True  # refuse top past KPELL_GUARD_N, as term() would
     # what follows each index tuple of a sweep at a: cofactor-dets' matrices
     tails: Callable[[int], tuple[tuple, ...]] = lambda a: ((),)
 
@@ -229,9 +228,8 @@ _REGISTRY: dict[str, _Identity] = {
     "docagne": _Identity(_G + _q + _P, lambda n: n + 1, _MN, _docagne),
     "convolution1": _Identity(_P, lambda n: 2 * n, _NM, _convolution1),
     "convolution2": _Identity(_P, lambda n: 2 * n, _NM, _convolution2),
-    # the squares' sweep reads plain prefixes, which the O(n) guard does not cover
-    "squares1": _Identity(_P, lambda n: 2 * n + 1, _N, _squares1, guarded=False),
-    "squares2": _Identity(_P, lambda n: 2 * n + 1, _N, _squares2, guarded=False),
+    "squares1": _Identity(_P, lambda n: 2 * n + 1, _N, _squares1),
+    "squares2": _Identity(_P, lambda n: 2 * n + 1, _N, _squares2),
     "partition": _Identity(_G + _P, lambda n: n + 1, _NI, _partition),
     "cofactor-dets": _Identity(
         _G + _P, lambda n: min(8, n) + 1, _N8, _cofactor_det, tails=_matrices
@@ -338,8 +336,7 @@ def _batches(
     first = next(found, None)
     if first is None:
         return
-    if entry.guarded:
-        guard_index(entry.top(grid.n_max))
+    guard_index(entry.top(grid.n_max))
     tuples = [first, *found]
     az = range(1, grid.a_max + 1) if SeqKind.GEN_PELL in entry.kinds else (1,)
     for a in az:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from kpell import cli, digits, sequences
 from kpell.cli import main
 from kpell.digits import STR_MAX_BITS, to_str
-from kpell.sequences import SeqKind, SeqParams, term_stream
+from kpell.sequences import SeqKind, SeqParams, term, term_stream
 from kpell.tridiagonal import gen_matrix, theta_phi
 
 
@@ -230,6 +230,40 @@ class TestEval:
         )
         assert code == 1
         assert "internal cross-check failed" in err
+        # a guard that admits n keeps the check
+        monkeypatch.setenv("KPELL_GUARD_N", "200")
+        code, _, err = run(
+            capsys, "eval", "--kind", "P", "--k", "1", "--n", "100", "--method", "binet"
+        )
+        assert code == 1
+        assert "internal cross-check failed" in err
+
+    @pytest.mark.parametrize("kind, method", [("P", "fast"), ("P", "binet"), ("G", "binet")])
+    def test_cross_check_keeps_within_the_guard(self, capsys, monkeypatch, kind, method):
+        # the fast and Binet routes read no guard, so the check must not trip it
+        argv = ["eval", "--kind", kind, "--k", "1", "--n", "100"]
+        _, reference, _ = run(capsys, *argv)
+        monkeypatch.setenv("KPELL_GUARD_N", "50")
+        code, out, err = run(capsys, *argv, "--method", method)
+        assert (code, err) == (0, "")
+        assert out == reference
+
+    def test_binomial_sum_within_the_guard_passes(self, capsys, monkeypatch):
+        # the sum reads index 99, the check would read 100
+        expected = f"{term(SeqKind.PELL, SeqParams(1), 100)}\n"
+        monkeypatch.setenv("KPELL_GUARD_N", "99")
+        code, out, _ = run(
+            capsys, "eval", "--kind", "P", "--k", "1", "--n", "100", "--method", "binomial"
+        )
+        assert (code, out) == (0, expected)
+
+    def test_malformed_guard_is_read_only_where_the_check_runs(self, capsys, monkeypatch):
+        monkeypatch.setenv("KPELL_GUARD_N", "many")
+        argv = ["eval", "--kind", "P", "--k", "1", "--method", "fast", "--n"]
+        assert run(capsys, *argv, "20000")[0] == 0  # past the cross-check limit
+        code, _, err = run(capsys, *argv, "100")
+        assert code == 2
+        assert "KPELL_GUARD_N must be an integer" in err
 
     def test_json_payload(self, capsys):
         code, out, _ = run(
@@ -396,7 +430,7 @@ class TestVerify:
         ],
     )
     def test_json_output_is_pinned(self, capsys, argv, size, sha256):
-        # stdout of the QuadNum-based d'Ocagne and the per-check recurrence walks
+        # stdout of d'Ocagne on q and P prefixes and the per-check recurrence walks
         code, out, _ = run(capsys, "verify", *argv, "--format", "json")
         assert code == 0
         data = out.encode()
@@ -441,16 +475,18 @@ class TestVerify:
         assert json.loads(out)["results"][1]["lhs"] == str(big)
 
     def test_guard_refuses_sweep(self, capsys, monkeypatch):
-        # catalan reads G_{2n}: index 60 here, past the guard of 50
+        # catalan reads G_{2n} and squares1 P_{2n+1}: index 60 and 61 here,
+        # past the guard of 50
         monkeypatch.setenv("KPELL_GUARD_N", "50")
-        code, out, err = run(
-            capsys,
-            "verify", "--identities", "catalan", "--k-max", "1", "--a-max", "1",
-            "--n-max", "30",
-        )
-        assert code == 2
-        assert out == ""
-        assert "KPELL_GUARD_N" in err
+        for identity in ("catalan", "squares1"):
+            code, out, err = run(
+                capsys,
+                "verify", "--identities", identity, "--k-max", "1", "--a-max", "1",
+                "--n-max", "30",
+            )
+            assert code == 2
+            assert out == ""
+            assert "KPELL_GUARD_N" in err
 
 
 class TestMatrix:

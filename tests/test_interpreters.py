@@ -15,21 +15,28 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MINORS = ("3.10", "3.12", "3.13")
-# bench and eval run the doubling loop on Decimal at every size: bench prints
-# a digest (a Decimal %), eval every digit, for the fast route and for Binet on
-# P and G, at small n too, where the CLI cross-checks them against the
-# recurrence, and at a perfect-square 1+k = 4.  The recurrence's steps m terms
-# apart run in eval (printed through to_str), with m = 1 at k = 2**31, and in
-# bench.  verify renders integer sides, k = 3 among them, d'Ocagne's from q and
-# P prefixes at square 1+k (k = 3, 8) too, and the FAIL lines of eigen-verbatim, which exits 1 by design; matrix renders the inverse's reduced ratio cells (their gcds bounded
-# through theta/phi, JSON lists of strings quoted in one pass), a cofactor grid
-# formatted a row at a time, and theta-phi continuants from the printing walk,
-# which runs on Decimal from its first step, up to 15,341 bits (k = 2**59) and
-# about 16,000 bits (G, k = 10**6), past STR_MAX_BITS; table renders symbolic
-# rows and numeric rows from the same walk, small ones at k = 1.  The JSON
-# writer streams a table's rows, theta-phi's two lists, a sweep's row texts,
-# FAIL rows of eigen-verbatim among them, and a cofactor grid's rows; each
-# interpreter's own json.dumps writes the heads and a whole eval payload.
+# Each argv below runs a path whose output could differ by interpreter:
+# - bench and eval run the doubling loop on Decimal at every size: bench
+#   prints a digest (a Decimal %), eval every digit.  They run the fast route
+#   and Binet on P and G, at small n too, where the CLI cross-checks them
+#   against the recurrence, and at a perfect-square 1+k = 4.
+# - The recurrence's steps m terms apart run in eval (printed through
+#   to_str), with m = 1 at k = 2**31, and in bench.
+# - verify renders integer sides, k = 3 among them, and d'Ocagne's from q
+#   and P prefixes at square 1+k (k = 3, 8) too.  It also renders the FAIL
+#   lines of eigen-verbatim, which exits 1 by design.
+# - matrix renders the inverse's reduced ratio cells (their gcds bounded
+#   through theta/phi, JSON lists of strings quoted in one pass), a cofactor
+#   grid formatted a row at a time, and theta-phi continuants from the
+#   printing walk.  That walk runs on Decimal from its first step, up to
+#   15,341 bits (k = 2**59) and about 16,000 bits (G, k = 10**6), past
+#   STR_MAX_BITS.
+# - table renders symbolic rows, and numeric rows from the same walk, small
+#   ones at k = 1.
+# - The JSON writer streams a table's rows, theta-phi's two lists, a sweep's
+#   row texts (FAIL rows of eigen-verbatim among them) and a cofactor grid's
+#   rows.  Each interpreter's own json.dumps writes the heads and a whole
+#   eval payload.
 COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("bench", "--k", "1", "--n", "100000", "--method", "recurrence"),

@@ -381,19 +381,25 @@ class TestSharedPrefixes:
         assert sum(kind is SeqKind.PELL for kind, _ in calls) == 4
         assert sum(kind is SeqKind.GEN_PELL for kind, _ in calls) == 4 * 3
 
-    @pytest.mark.parametrize(
-        "identity, top",
-        [
-            ("catalan", 20),
-            ("cassini", 11),
-            ("docagne", 11),
-            ("convolution1", 20),
-            ("convolution2", 20),
-            ("partition", 11),
-            ("cofactor-dets", 9),
-            ("eigen", 11),
-        ],
-    )
+    # the largest index each identity's sweep reads at n_max = 10
+    TOPS = {
+        "catalan": 20,
+        "cassini": 11,
+        "docagne": 11,
+        "convolution1": 20,
+        "convolution2": 20,
+        "squares1": 21,
+        "squares2": 21,
+        "partition": 11,
+        "cofactor-dets": 9,
+        "eigen": 11,
+        "eigen-verbatim": 11,
+    }
+
+    def test_guard_covers_every_identity(self):
+        assert set(self.TOPS) == set(verify._REGISTRY)
+
+    @pytest.mark.parametrize("identity, top", TOPS.items())
     def test_guard_refuses_the_largest_index_read(self, monkeypatch, identity, top):
         grid = SweepGrid(k_max=1, a_max=1, n_max=10)
         monkeypatch.setenv("KPELL_GUARD_N", str(top))
@@ -402,10 +408,17 @@ class TestSharedPrefixes:
         with pytest.raises(ValueError, match="KPELL_GUARD_N"):
             run_suite(grid, (identity,))
 
-    def test_squares_are_unguarded(self, monkeypatch):
-        monkeypatch.setenv("KPELL_GUARD_N", "0")
-        report = run_suite(SweepGrid(k_max=2, n_max=10), ("squares1", "squares2"))
-        assert report.all_passed and len(report.results) == 40
+    def test_squares_sweep_and_check_share_the_guard(self, monkeypatch):
+        # both read P_{2n+1} = P_21 at n = 10
+        grid = SweepGrid(k_max=1, a_max=1, n_max=10)
+        monkeypatch.setenv("KPELL_GUARD_N", "20")
+        with pytest.raises(ValueError, match="KPELL_GUARD_N"):
+            check_squares(1, 10)
+        with pytest.raises(ValueError, match="KPELL_GUARD_N"):
+            run_suite(grid, ("squares1", "squares2"))
+        monkeypatch.setenv("KPELL_GUARD_N", "21")
+        assert all(r.residual_is_zero for r in check_squares(1, 10))
+        assert run_suite(grid, ("squares1", "squares2")).all_passed
 
     def test_single_check_holds_no_prefix(self):
         # a prefix up to n = 20000 would hold ~30 MB of terms
