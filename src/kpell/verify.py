@@ -7,8 +7,9 @@ at a time, and ``run_suite`` collects them into a report with per-identity
 pass/fail counts.  A check and a sweep both run the identity's registry
 entry: its body and its domain of valid index tuples.  A ``check_*`` call
 refuses a tuple outside the domain and feeds the body terms read one at a time
-through ``term``; a sweep runs every valid tuple in 0..n_max and feeds it
-integer prefixes, each built once and shared: G's for each (k, a), P's and
+through ``term``; a sweep reads the guard once, when called, at the largest
+index its selection reads, then runs every valid tuple in 0..n_max and feeds
+it integer prefixes, each built once per sweep: G's for each (k, a), P's and
 q's for each k.  Every body reads sequence terms only: d'Ocagne's root power
 (1 + sqrt(1+k))**j is q_j + P_j*sqrt(1+k).  The two eigenvalue checks are
 floating-point cross-checks and are therefore *not* part of the ``"all"``
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from itertools import chain, product, starmap
+from itertools import product, starmap
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .digits import to_str
@@ -80,7 +81,7 @@ _Terms = list | _Walk
 
 # The bodies: both sides of one identity, read from the terms G (generalized,
 # k and a), q (modified Pell, k) and P (Pell, k) that precede ``params``: a
-# shared prefix in a sweep, a _Walk in a single check.
+# prefix in a sweep, a _Walk in a single check.
 
 
 def _catalan(G: _Terms, params: SeqParams, n: int, r: int) -> CheckResult:
@@ -229,7 +230,7 @@ _REGISTRY: dict[str, _Identity] = {
     "convolution1": _Identity(_P, lambda n: 2 * n, _NM, _convolution1),
     "convolution2": _Identity(_P, lambda n: 2 * n, _NM, _convolution2),
     "squares1": _Identity(_P, lambda n: 2 * n + 1, _N, _squares1),
-    "squares2": _Identity(_P, lambda n: 2 * n + 1, _N, _squares2),
+    "squares2": _Identity(_P, lambda n: 2 * n, _N, _squares2),
     "partition": _Identity(_G + _P, lambda n: n + 1, _NI, _partition),
     "cofactor-dets": _Identity(
         _G + _P, lambda n: min(8, n) + 1, _N8, _cofactor_det, tails=_matrices
@@ -322,29 +323,6 @@ class SweepGrid(namedtuple("SweepGrid", "k_max a_max n_max")):
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
         return super().__new__(cls, k_max, a_max, n_max)
-
-
-def _batches(
-    identity: str, grid: SweepGrid, shared: Callable[..., list]
-) -> Iterator[Iterator[CheckResult]]:
-    """One identity's sweep: an iterator of its results for each (a, k) in turn."""
-    entry = _REGISTRY[identity]
-    # top depends on n_max alone, so a sweep past the guard is refused once
-    # its first tuple is found, before the rest are listed; one with no tuple
-    # to check reads no guard
-    found = entry.valid_tuples(grid.n_max)
-    first = next(found, None)
-    if first is None:
-        return
-    guard_index(entry.top(grid.n_max))
-    tuples = [first, *found]
-    az = range(1, grid.a_max + 1) if SeqKind.GEN_PELL in entry.kinds else (1,)
-    for a in az:
-        indices = entry.indices(tuples, a)
-        for k in range(1, grid.k_max + 1):
-            params = SeqParams(k, a)
-            seqs = [shared(kind, params) for kind in entry.kinds]
-            yield starmap(partial(entry.body, *seqs, params), indices)
 
 
 def tally(
@@ -466,28 +444,43 @@ def expand_selection(identities: Sequence[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _plan(entries: list[_Identity], grid: SweepGrid, top: int) -> Iterator[CheckResult]:
+    """The results of each entry's sweep in turn, each prefix built once, to top."""
+    prefixes: dict[tuple, list] = {}
+    for entry in entries:
+        tuples = list(entry.valid_tuples(grid.n_max))
+        az = range(1, grid.a_max + 1) if SeqKind.GEN_PELL in entry.kinds else (1,)
+        for a in az:
+            indices = entry.indices(tuples, a)
+            for k in range(1, grid.k_max + 1):
+                params = SeqParams(k, a)
+                # only G depends on a; the other kinds on k alone
+                keys = [(kind, params if kind is SeqKind.GEN_PELL else k) for kind in entry.kinds]
+                for key in keys:
+                    if key not in prefixes:
+                        prefixes[key] = prefix(key[0], params, top + 1)
+                seqs = map(prefixes.__getitem__, keys)
+                yield from starmap(partial(entry.body, *seqs, params), indices)
+
+
 def sweep(
     grid: SweepGrid = SweepGrid(), identities: Sequence[str] = ("all",)
 ) -> Iterator[CheckResult]:
     """Every selected check over the grid, one result at a time, in grid order.
 
-    The prefixes live as long as the iterator: each is computed once, up to
-    the largest index any selected identity reads, G's for each (k, a), P's
-    and q's for each k.
+    The call settles the plan: the identities with a tuple to check, and the
+    largest index they read, which the guard refuses here, before any prefix
+    is built or any check runs.  Each prefix is built once, up to that index,
+    and lives as long as the iterator.
     """
-    selected = expand_selection(identities)
-    top = max((_REGISTRY[name].top(grid.n_max) for name in selected), default=0)
-    prefixes: dict[tuple, list] = {}
-
-    def shared(kind: SeqKind, params: SeqParams) -> list[int]:
-        # only G depends on a; the other kinds on k alone
-        key = (kind, params) if kind is SeqKind.GEN_PELL else (kind, params.k)
-        if key not in prefixes:
-            prefixes[key] = prefix(kind, params, top + 1)
-        return prefixes[key]
-
-    batches = chain.from_iterable(_batches(name, grid, shared) for name in selected)
-    return chain.from_iterable(batches)
+    selected = map(_REGISTRY.__getitem__, expand_selection(identities))
+    # any() stops at the first valid tuple, so a refused sweep lists no tuples
+    entries = [entry for entry in selected if any(entry.valid_tuples(grid.n_max))]
+    if not entries:
+        return iter(())
+    top = max(entry.top(grid.n_max) for entry in entries)
+    guard_index(top)
+    return _plan(entries, grid, top)
 
 
 def run_suite(

@@ -488,6 +488,27 @@ class TestVerify:
             assert out == ""
             assert "KPELL_GUARD_N" in err
 
+    def test_guard_refuses_a_selection_at_its_largest_index(self, capsys, monkeypatch):
+        # cassini, listed first, reads only G_31; catalan's G_60 refuses the
+        # whole selection before any check runs
+        monkeypatch.setenv("KPELL_GUARD_N", "50")
+        code, out, err = run(
+            capsys,
+            "verify", "--identities", "cassini,catalan", "--k-max", "1", "--a-max", "1",
+            "--n-max", "30",
+        )
+        assert (code, out) == (2, "")
+        assert "n=60 exceeds the O(n) evaluation guard of 50" in err
+
+    def test_squares2_sweep_runs_at_its_largest_index(self, capsys, monkeypatch):
+        # squares2 reads P_{2n} = P_20 at n = 10, and nothing past it
+        monkeypatch.setenv("KPELL_GUARD_N", "20")
+        code, out, err = run(
+            capsys, "verify", "--identities", "squares2", "--k-max", "1", "--n-max", "10"
+        )
+        assert (code, err) == (0, "")
+        assert "squares2" in out
+
 
 class TestMatrix:
     def test_matrix_text(self, capsys):

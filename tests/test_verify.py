@@ -389,7 +389,7 @@ class TestSharedPrefixes:
         "convolution1": 20,
         "convolution2": 20,
         "squares1": 21,
-        "squares2": 21,
+        "squares2": 20,
         "partition": 11,
         "cofactor-dets": 9,
         "eigen": 11,
@@ -450,6 +450,59 @@ class TestSharedPrefixes:
             run_suite(SweepGrid(k_max=1, a_max=1, n_max=300), ("catalan",))
         # the first valid tuple, (1, 1), is the 303rd of 301**2 candidates
         assert len(tested) == 303
+
+    @pytest.mark.parametrize(
+        "identity", [name for name, entry in verify._REGISTRY.items() if entry.kinds]
+    )
+    def test_top_is_the_largest_index_the_body_reads(self, identity):
+        entry = verify._REGISTRY[identity]
+        for n_max in range(1, 13):
+            tuples = list(entry.valid_tuples(n_max))
+            if not tuples:
+                continue
+            for k, a in ((1, 1), (2, 2)):
+                params, read = SeqParams(k, a), []
+                seqs = [_Recorded(prefix(kind, params, 4 * n_max), read) for kind in entry.kinds]
+                for index in entry.indices(tuples, a):
+                    entry.body(*seqs, params, *index)
+                # a negative index would read from the end without an error
+                assert min(read) >= 0 and max(read) == entry.top(n_max), (n_max, k, a)
+
+    def test_refused_selection_builds_and_checks_nothing(self, monkeypatch):
+        # catalan reads G_40 at n_max = 20; cassini, listed first, only G_21
+        built, checked = [], []
+
+        def counted_prefix(kind, params, n):
+            built.append((kind, params, n))
+            return prefix(kind, params, n)
+
+        entry = verify._REGISTRY["cassini"]
+
+        def counted_body(*args):
+            checked.append(args)
+            return entry.body(*args)
+
+        monkeypatch.setattr(verify, "prefix", counted_prefix)
+        monkeypatch.setitem(verify._REGISTRY, "cassini", entry._replace(body=counted_body))
+        monkeypatch.setenv("KPELL_GUARD_N", "30")
+        grid, selection = SweepGrid(1, 1, 20), ("cassini", "catalan")
+        with pytest.raises(ValueError, match="KPELL_GUARD_N"):
+            run_suite(grid, selection)
+        with pytest.raises(ValueError, match=r"^n=40 exceeds"):
+            verify.sweep(grid, selection)  # at the call, before any next()
+        assert built == [] and checked == []
+
+
+class _Recorded(list):
+    """A prefix that records each index read from it."""
+
+    def __init__(self, terms, read):
+        super().__init__(terms)
+        self.read = read
+
+    def __getitem__(self, n):
+        self.read.append(n)
+        return super().__getitem__(n)
 
 
 _PAIRS = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]
