@@ -7,13 +7,14 @@ by any evaluation route, cross-checked), ``verify`` (identity sweeps),
 with value digests).
 
 Exit codes: 0 success / all-pass, 1 verified failure (identity or eigenvalue
-mismatch, internal cross-check), 2 usage error.  Data goes to stdout,
-diagnostics to stderr.
+mismatch, internal cross-check), 2 usage error, 141 stdout closed by its
+reader.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from decimal import Decimal, localcontext
@@ -31,11 +32,6 @@ KINDS = {kind.value: kind for kind in SeqKind}
 CROSS_CHECK_LIMIT = 10_000
 
 
-def _fail_usage(message: str) -> int:
-    print(f"kpell: error: {message}", file=sys.stderr)
-    return 2
-
-
 def _parse_params(args: argparse.Namespace, kind: SeqKind) -> SeqParams:
     if args.a is not None and kind is not SeqKind.GEN_PELL:
         raise ValueError("--a applies to kind G only")
@@ -46,12 +42,12 @@ def _parse_params(args: argparse.Namespace, kind: SeqKind) -> SeqParams:
 def _cmd_table(args: argparse.Namespace) -> int:
     kind = KINDS[args.kind]
     if args.n_max < 0:
-        return _fail_usage("--n-max must be >= 0")
+        raise ValueError("--n-max must be >= 0")
     if args.symbolic:
         if args.k is not None or args.a is not None:
-            return _fail_usage("--symbolic excludes --k/--a")
+            raise ValueError("--symbolic excludes --k/--a")
         if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
-            return _fail_usage("symbolic tables exist for kinds P and G only")
+            raise ValueError("symbolic tables exist for kinds P and G only")
         from .closed_forms import poly_str, symbolic_stream
 
         suffix = "a" if kind is SeqKind.GEN_PELL else ""
@@ -59,7 +55,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         values = (poly_str(c, "k", suffix) for c in coeffs)
     else:
         if args.k is None:
-            return _fail_usage("numeric tables need --k (or pass --symbolic)")
+            raise ValueError("numeric tables need --k (or pass --symbolic)")
         params = _parse_params(args, kind)
         walk = _walk(*initial_pair(kind, params), repeat((2, params.k)), printing=True)
         values = map(str, islice(walk, args.n_max + 1))
@@ -114,7 +110,7 @@ def _eval_dispatch(kind: SeqKind, params: SeqParams, n: int, method: str) -> int
 def _cmd_eval(args: argparse.Namespace) -> int:
     kind = KINDS[args.kind]
     if args.n < 0:
-        return _fail_usage("--n must be >= 0")
+        raise ValueError("--n must be >= 0")
     params = _parse_params(args, kind)
     value = _eval_dispatch(kind, params, args.n, args.method)
     text = to_str(value)
@@ -149,7 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     names = tuple(part.strip() for part in args.identities.split(",") if part.strip())
     if not names:
-        return _fail_usage("--identities must name at least one identity")
+        raise ValueError("--identities must name at least one identity")
     expand_selection(names)  # an unknown name is reported before a bad grid
     grid = SweepGrid(k_max=args.k_max, a_max=args.a_max, n_max=args.n_max)
     results = sweep(grid, names)
@@ -186,7 +182,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
     kind = KINDS[args.kind]
     if args.n < 1:
-        return _fail_usage("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     params = _parse_params(args, kind)
     t = gen_matrix(kind, params, args.n)
     if args.show == "theta-phi":
@@ -207,13 +203,13 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         cells = inverse_strings(t)
     else:
         if args.n < 2:
-            return _fail_usage("--show cofactor needs --n >= 2")
+            raise ValueError("--show cofactor needs --n >= 2")
         if kind is SeqKind.PELL:
             dense = pell_cofactor(params.k, args.n)
         elif kind is SeqKind.GEN_PELL:
             dense = gen_pell_cofactor(params, args.n)
         else:
-            return _fail_usage("cofactor matrices exist for kinds P and G only")
+            raise ValueError("cofactor matrices exist for kinds P and G only")
         cells = entry_strings(dense)
     if args.format == "json":
         from .jsonout import item, write
@@ -227,7 +223,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _cmd_eigen(args: argparse.Namespace) -> int:
     if args.n < 1 or args.k < 1:
-        return _fail_usage("--k and --n must be >= 1")
+        raise ValueError("--k and --n must be >= 1")
     from .closed_forms import eigen_product
 
     report = eigen_product(args.k, args.n, args.paper_verbatim)
@@ -241,7 +237,7 @@ def _cmd_eigen(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.n < 0 or args.k < 1 or args.repeat < 1:
-        return _fail_usage("need --k >= 1, --n >= 0, --repeat >= 1")
+        raise ValueError("need --k >= 1, --n >= 0, --repeat >= 1")
     params = SeqParams(args.k)
     for run in range(args.repeat):
         start = time.perf_counter()
@@ -322,11 +318,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # the one route from a library ValueError to a usage error, exit 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a pipe closed before the last flush is caught here too
     except ValueError as exc:
-        return _fail_usage(str(exc))
+        # the one route from a ValueError, the CLI's own or the library's, to exit 2
+        print(f"kpell: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's final flush goes to
+        # os.devnull, and the exit code is the one a shell gives a SIGPIPE death
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -180,12 +180,18 @@ def eigen_product(k: int, n: int, paper_verbatim: bool = False) -> EigenReport:
             f"eigenvalue product overflows double precision at k={k}, n={n}"
         )
     exact = term(SeqKind.PELL, SeqParams(k), n + 1)
+    try:  # the verbatim product stays finite past the largest double
+        abs_residual = abs(product - exact)
+    except OverflowError:
+        raise ValueError(
+            f"exact term P_{n + 1} overflows double precision at k={k}, n={n}"
+        ) from None
     return EigenReport(
         k=k,
         n=n,
         product=product,
         rounded=round(product.real),
         exact=exact,
-        abs_residual=abs(product - exact),
+        abs_residual=abs_residual,
         paper_verbatim=paper_verbatim,
     )

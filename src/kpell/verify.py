@@ -342,33 +342,27 @@ def tally(
     return {name: (p, f) for name, (p, f) in counts.items()}, failures
 
 
-def _row_form(name: str, inputs: Mapping[str, object]) -> str | None:
-    """The %-template of a result's JSON item, to be filled with its int inputs,
-    whose %s is their JSON text; None when an input is not an int."""
+def _row_form(name: str, inputs: Mapping[str, object]) -> tuple[str, bool]:
+    """The %-template of a result's JSON item, from ``CheckResult.to_dict``, and
+    whether an input is a string.  Each input, side and flag is a %s, filled
+    with its JSON text: an int input as it is, a string input quoted."""
     from .jsonout import SLOT, template
 
-    if not all(type(value) is int for value in inputs.values()):
-        return None
-    shape = {
-        "identity_name": name,
-        "inputs": dict.fromkeys(inputs, SLOT),
-        "lhs": SLOT,
-        "rhs": SLOT,
-        "residual_is_zero": SLOT,
-    }
-    return template(shape)
+    shape = CheckResult(name, dict.fromkeys(inputs, SLOT), SLOT, SLOT).to_dict()
+    shape["residual_is_zero"] = SLOT
+    return template(shape), any(type(value) is str for value in inputs.values())
 
 
 def json_rows(results: Iterable[CheckResult]) -> tuple[list[str], int]:
     """Each result as ``jsonout.item(result.to_dict())``, and the number that failed.
 
-    No dict is built for a result with int inputs: its row fills one
-    %-template, made once per identity and input keys.  A registry body
-    gives an input under a key the same type in every row it makes.
+    No dict is built for a result: its row fills one %-template, made once
+    per identity and input keys.  A registry body gives an input under a key
+    the same type in every row it makes, an int or a string.
     """
-    from .jsonout import item, quote
+    from .jsonout import quote
 
-    forms: dict[tuple, str | None] = {}
+    forms: dict[tuple, tuple[str, bool]] = {}
     rows: list[str] = []
     failed = 0
     for r in results:
@@ -376,12 +370,12 @@ def json_rows(results: Iterable[CheckResult]) -> tuple[list[str], int]:
         key = (name, *inputs)
         if key not in forms:
             forms[key] = _row_form(name, inputs)
-        form = forms[key]
-        if form is None:
-            rows.append(item(r.to_dict()))
-        else:
-            flag = "true" if passed else "false"
-            rows.append(form % (*inputs.values(), quote(to_str(lhs)), quote(to_str(rhs)), flag))
+        form, quoted = forms[key]
+        values = inputs.values()
+        if quoted:
+            values = [quote(v) if type(v) is str else v for v in values]
+        flag = "true" if passed else "false"
+        rows.append(form % (*values, quote(to_str(lhs)), quote(to_str(rhs)), flag))
         failed += not passed
     return rows, failed
 

@@ -732,6 +732,25 @@ class TestParser:
             ("matrix --kind P --k 1 --a 2 --n 3", "--a applies to kind G only"),
             ("eigen --k 1 --n 2000",
              "eigenvalue product overflows double precision at k=1, n=2000"),
+            # the verbatim product is still finite where the exact term is not
+            ("eigen --k 1 --n 806 --paper-verbatim",
+             "exact term P_807 overflows double precision at k=1, n=806"),
+            ("eigen --k 1 --n 900 --paper-verbatim",
+             "exact term P_901 overflows double precision at k=1, n=900"),
+            # the CLI's own checks take the same route
+            ("table --kind P --k 1 --n-max -1", "--n-max must be >= 0"),
+            ("table --kind P --symbolic --k 1 --n-max 3", "--symbolic excludes --k/--a"),
+            ("table --kind Q --symbolic --n-max 3",
+             "symbolic tables exist for kinds P and G only"),
+            ("table --kind P --n-max 3", "numeric tables need --k (or pass --symbolic)"),
+            ("eval --kind P --k 1 --n -1", "--n must be >= 0"),
+            ("verify --identities ,", "--identities must name at least one identity"),
+            ("matrix --kind P --k 1 --n 0", "--n must be >= 1"),
+            ("matrix --kind P --k 1 --n 1 --show cofactor", "--show cofactor needs --n >= 2"),
+            ("matrix --kind Q --k 1 --n 3 --show cofactor",
+             "cofactor matrices exist for kinds P and G only"),
+            ("eigen --k 0 --n 2", "--k and --n must be >= 1"),
+            ("bench --k 1 --n 5 --repeat 0", "need --k >= 1, --n >= 0, --repeat >= 1"),
         ],
     )
     def test_library_value_errors_are_usage_errors(self, capsys, argv, message):
@@ -757,3 +776,26 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--kind", "X", "--n-max", "3"])
         assert exc.value.code == 2
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "table --kind P --k 1 --n-max 5000",
+            "verify --format json",
+            "matrix --kind P --k 1 --n 300 --show inverse",
+        ],
+    )
+    def test_reader_closing_after_one_line_exits_141_quietly(self, argv):
+        # each output is megabytes, far past a pipe's buffer, so the child is still writing
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "kpell", *argv.split()],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=120), err) == (141, b"")

@@ -73,6 +73,8 @@ COMPARED = (
      "--n-max", "6", "--format", "json"),
     ("verify", "--identities", "docagne", "--k-max", "8", "--a-max", "2", "--n-max", "12",
      "--format", "json"),
+    ("verify", "--identities", "all,eigen,eigen-verbatim", "--k-max", "3", "--n-max", "12",
+     "--format", "json"),
 )
 VERIFY = ("verify", "--k-max", "2", "--a-max", "2", "--n-max", "8")
 

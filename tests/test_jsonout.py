@@ -189,3 +189,14 @@ def test_verify_rows_match_the_stock_encoder(int_str_limit):
     assert len(rows) == len(results)
     for row, r in zip(rows, results):
         assert row == json.dumps(r.to_dict(), indent=2).replace("\n", jsonout.ITEM), r
+
+
+def test_verify_rows_encode_one_template_per_form(monkeypatch):
+    # string inputs (cofactor-dets' matrix, eigen's product) fill a template too
+    results = _results()
+    forms = {(r.identity_name, *r.inputs) for r in results}
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *a, **kw: calls.append(a) or dumps(*a, **kw))
+    json_rows(results)
+    assert 0 < len(calls) <= len(forms)
