@@ -46,8 +46,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.symbolic:
         if args.k is not None or args.a is not None:
             raise ValueError("--symbolic excludes --k/--a")
-        if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
-            raise ValueError("symbolic tables exist for kinds P and G only")
         from .closed_forms import poly_str, symbolic_stream
 
         suffix = "a" if kind is SeqKind.GEN_PELL else ""
@@ -80,13 +78,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _eval_dispatch(kind: SeqKind, params: SeqParams, n: int, method: str) -> int | Decimal:
     if method == "recurrence":
         return term(kind, params, n)
-    if method == "fast":
-        if kind is not SeqKind.PELL:
-            raise ValueError("--method fast applies to kind P only")
-        return binet_term(kind, params, n)
-    if method == "binet":
-        if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
-            raise ValueError("--method binet applies to kinds P and G only")
+    if method == "fast" and kind is not SeqKind.PELL:
+        raise ValueError("--method fast applies to kind P only")
+    if method in ("fast", "binet"):
         return binet_term(kind, params, n)
     if method == "binomial":
         if kind is not SeqKind.PELL:

@@ -18,7 +18,7 @@ from itertools import zip_longest
 from typing import Iterator, Sequence
 
 from .digits import to_str
-from .sequences import SeqKind, SeqParams, guard_index, term
+from .sequences import SeqKind, SeqParams, guard_index, initial_pair, term
 
 
 def pell_binomial(k: int, n: int) -> int:
@@ -91,17 +91,15 @@ def gen_double_sum(params: SeqParams, n: int) -> int:
 
 
 def symbolic_stream(kind: SeqKind) -> Iterator[tuple[int, ...]]:
-    """Lazily yield the terms of P or G as coefficient tuples in k, from index 0.
+    """Lazily yield a kind's terms as coefficient tuples in k, from index 0.
 
-    For G each tuple holds the coefficients of ``a``: the true term is ``a``
-    times it, and rendering appends the ``a`` suffix.  Only the P and G
-    kinds have polynomial tables here; another kind raises ``ValueError``
-    at the call, not at the first term.  The step x_n = 2*x_{n-1} + k*x_{n-2}
-    doubles one tuple and adds the other shifted up by one power of k.
+    The walk starts from the seeds of ``initial_pair(kind, SeqParams(1))`` as
+    constant polynomials.  For G each tuple holds the coefficients of ``a``:
+    the true term is ``a`` times it, and rendering appends the ``a`` suffix.
+    The step x_n = 2*x_{n-1} + k*x_{n-2} doubles one tuple and adds the
+    other shifted up by one power of k.
     """
-    if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
-        raise ValueError(f"symbolic terms are available for P and G only, not {kind}")
-    return _symbolic_walk(*(((), (1,)) if kind is SeqKind.PELL else ((1,), (1,))))
+    return _symbolic_walk(*((c,) if c else () for c in initial_pair(kind, SeqParams(1))))
 
 
 def _symbolic_walk(prev: tuple[int, ...], cur: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -159,10 +157,7 @@ def eigenvalues(k: int, n: int, paper_verbatim: bool = False) -> list[complex]:
     For odd n the middle cosine is forced to exactly 0.0, so the one real
     eigenvalue comes out exactly 2.
     """
-    SeqParams(k)  # refuses a bad k
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"matrix order must be >= 1, got {n!r}")
-    scale = math.sqrt(k) if paper_verbatim else 2.0 * math.sqrt(k)
+    scale = _scale(k, n, paper_verbatim)
     values = []
     for r in range(1, n + 1):
         cos = 0.0 if 2 * r == n + 1 else math.cos(math.pi * r / (n + 1))
@@ -170,12 +165,31 @@ def eigenvalues(k: int, n: int, paper_verbatim: bool = False) -> list[complex]:
     return values
 
 
+def _scale(k: int, n: int, paper_verbatim: bool) -> float:
+    """The eigenvalues' imaginary factor sqrt(k) or 2*sqrt(k), once k and n are checked."""
+    SeqParams(k)  # refuses a bad k
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"matrix order must be >= 1, got {n!r}")
+    try:
+        root = math.sqrt(k)
+    except OverflowError:
+        raise ValueError(f"k={to_str(k)} overflows double precision") from None
+    return root if paper_verbatim else 2.0 * root
+
+
 def eigen_product(k: int, n: int, paper_verbatim: bool = False) -> EigenReport:
-    """Multiply the eigenvalues out and compare with the exact P_{k,n+1}."""
+    """Multiply the eigenvalues out and compare with the exact P_{k,n+1}.
+
+    The product is a real determinant of n factors of modulus at least 2, so
+    from n = 1024 it is past the largest double: such an n is refused once k
+    and n are checked, before any eigenvalue is made.
+    """
+    _scale(k, n, paper_verbatim)  # a bad k or n is refused first
     product = complex(1.0, 0.0)
-    for value in eigenvalues(k, n, paper_verbatim):
-        product *= value
-    if not (math.isfinite(product.real) and math.isfinite(product.imag)):
+    if n < 1024:
+        for value in eigenvalues(k, n, paper_verbatim):
+            product *= value
+    if n >= 1024 or not (math.isfinite(product.real) and math.isfinite(product.imag)):
         raise ValueError(
             f"eigenvalue product overflows double precision at k={k}, n={n}"
         )

@@ -257,8 +257,9 @@ def gen_binet(params: SeqParams, n: int) -> int:
 
 
 def binet_term(kind: SeqKind, params: SeqParams, n: int) -> int | Decimal:
-    """P_n or G_n by root powers: pell_binet's or gen_binet's value as an exact
-    Decimal (an int for n < 2).
+    """The n-th term of any kind by root powers, as an exact Decimal (an int
+    for n < 2): with seeds x0, x1, x_n = x0*q_n + (x1 - x0)*P_n, which is
+    x1*P_n for P (x0 = 0) and x0*q_n for Q, q and G (x1 = x0).
 
     The engine runs on Decimal under the EXACT context, where libmpdec's
     transform multiplication beats int's Karatsuba on large operands and
@@ -266,13 +267,12 @@ def binet_term(kind: SeqKind, params: SeqParams, n: int) -> int | Decimal:
     ``digits.to_str``; reduce it only under EXACT.
     """
     _check_index(n)
-    if kind not in (SeqKind.PELL, SeqKind.GEN_PELL):
-        raise ValueError(f"Binet forms exist for kinds P and G only, got {kind.value}")
+    x0, x1 = initial_pair(kind, params)
     with localcontext(EXACT):
         d = Decimal(1 + params.k)
-        if kind is SeqKind.PELL:
-            return _root_power(d, n, 1)
-        return params.a * _root_power(d, n, 0)
+        if x0 == 0:
+            return x1 * _root_power(d, n, 1)
+        return x0 * _root_power(d, n, 0)
 
 
 def pell_fast(k: int, n: int) -> tuple[int, int]:

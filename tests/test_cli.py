@@ -138,10 +138,12 @@ class TestTable:
         assert code == 2
         assert "excludes --k" in err
 
-    def test_symbolic_wrong_kind(self, capsys):
-        code, _, err = run(capsys, "table", "--kind", "Q", "--symbolic", "--n-max", "3")
-        assert code == 2
-        assert "kinds P and G only" in err
+    def test_symbolic_pell_lucas(self, capsys):
+        code, out, _ = run(capsys, "table", "--kind", "Q", "--symbolic", "--n-max", "4")
+        assert code == 0
+        assert out.splitlines() == [
+            "0\t2", "1\t2", "2\t2k + 4", "3\t6k + 8", "4\t2k^2 + 16k + 16"
+        ]
 
     def test_numeric_needs_k(self, capsys):
         code, _, err = run(capsys, "table", "--kind", "P", "--n-max", "3")
@@ -740,8 +742,6 @@ class TestParser:
             # the CLI's own checks take the same route
             ("table --kind P --k 1 --n-max -1", "--n-max must be >= 0"),
             ("table --kind P --symbolic --k 1 --n-max 3", "--symbolic excludes --k/--a"),
-            ("table --kind Q --symbolic --n-max 3",
-             "symbolic tables exist for kinds P and G only"),
             ("table --kind P --n-max 3", "numeric tables need --k (or pass --symbolic)"),
             ("eval --kind P --k 1 --n -1", "--n must be >= 0"),
             ("verify --identities ,", "--identities must name at least one identity"),
@@ -750,6 +750,7 @@ class TestParser:
             ("matrix --kind Q --k 1 --n 3 --show cofactor",
              "cofactor matrices exist for kinds P and G only"),
             ("eigen --k 0 --n 2", "--k and --n must be >= 1"),
+            (f"eigen --k {2**1024} --n 3", f"k={2**1024} overflows double precision"),
             ("bench --k 1 --n 5 --repeat 0", "need --k >= 1, --n >= 0, --repeat >= 1"),
         ],
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -139,10 +140,11 @@ class TestSymbolicTerm:
             "7k^3a + 56k^2a + 112ka + 64a"
         )
 
-    def test_unsupported_kinds(self):
-        for kind in (SeqKind.PELL_LUCAS, SeqKind.MODIFIED_PELL):
-            with pytest.raises(ValueError):
-                symbolic_stream(kind)  # at the call, before any term is asked for
+    def test_lucas_kinds_scale_the_gen_table(self):
+        # Q's seeds are 2, 2 and q's 1, 1, as G's are a, a: Q = 2G and q = G at a = 1
+        gen = symbolic_prefix(SeqKind.GEN_PELL, 40)
+        assert symbolic_prefix(SeqKind.PELL_LUCAS, 40) == [tuple(2 * c for c in g) for g in gen]
+        assert symbolic_prefix(SeqKind.MODIFIED_PELL, 40) == gen
 
     def test_count(self):
         assert symbolic_prefix(SeqKind.PELL, 0) == []
@@ -156,6 +158,12 @@ class TestSymbolicTerm:
         gen_row = symbolic_prefix(SeqKind.GEN_PELL, n + 1)[n]
         for a in (1, 2, 5):
             assert a * horner(gen_row, k) == term(SeqKind.GEN_PELL, SeqParams(k, a), n)
+
+    @pytest.mark.parametrize("kind", SeqKind)
+    @given(k=st.integers(min_value=1, max_value=8), n=st.integers(min_value=0, max_value=60))
+    def test_every_kind_evaluates_to_term(self, kind, k, n):
+        row = symbolic_prefix(kind, n + 1)[n]
+        assert horner(row, k) == term(kind, SeqParams(k), n)
 
     def test_pell_rows_are_the_binomial_sum(self):
         # P_{n+1} = sum over i of C(n-i, i) * 2**(n-2i) * k**i
@@ -231,6 +239,24 @@ class TestEigen:
         report = eigen_product(k, n)
         assert report.matches
         assert report.abs_residual < 1e-9 * report.exact
+
+    @pytest.mark.parametrize("paper_verbatim", [False, True])
+    def test_overflow_is_refused_before_any_eigenvalue(self, paper_verbatim):
+        # every eigenvalue has modulus >= 2, so n >= 1024 overflows: no list of n values is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                eigen_product(1, 10**6, paper_verbatim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "eigenvalue product overflows double precision at k=1, n=1000000"
+        assert peak < 1 << 20, peak
+
+    def test_k_past_a_double_is_refused(self):
+        for call in (eigenvalues, eigen_product):
+            with pytest.raises(ValueError, match=f"^k={10**400} overflows double precision$"):
+                call(10**400, 3)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -18,8 +18,8 @@ MINORS = ("3.10", "3.12", "3.13")
 # Each argv below runs a path whose output could differ by interpreter:
 # - bench and eval run the doubling loop on Decimal at every size: bench
 #   prints a digest (a Decimal %), eval every digit.  They run the fast route
-#   and Binet on P and G, at small n too, where the CLI cross-checks them
-#   against the recurrence, and at a perfect-square 1+k = 4.
+#   on P and Binet on every kind, at small n too, where the CLI cross-checks
+#   them against the recurrence, and at a perfect-square 1+k = 4.
 # - The recurrence's steps m terms apart run in eval (printed through
 #   to_str), with m = 1 at k = 2**31, and in bench.
 # - verify renders integer sides, k = 3 among them, and d'Ocagne's from q
@@ -31,7 +31,7 @@ MINORS = ("3.10", "3.12", "3.13")
 #   printing walk.  That walk runs on Decimal from its first step, up to
 #   15,341 bits (k = 2**59) and about 16,000 bits (G, k = 10**6), past
 #   STR_MAX_BITS.
-# - table renders symbolic rows, and numeric rows from the same walk, small
+# - table renders symbolic rows of G and Q, and numeric rows from the same walk, small
 #   ones at k = 1.
 # - The JSON writer streams a table's rows, theta-phi's two lists, a sweep's
 #   row texts (FAIL rows of eigen-verbatim among them) and a cofactor grid's
@@ -50,6 +50,8 @@ COMPARED = (
     ("eval", "--kind", "G", "--k", "3", "--a", "2", "--n", "5000", "--method", "binet"),
     ("eval", "--kind", "P", "--k", "2", "--n", "30011", "--method", "binet"),
     ("eval", "--kind", "G", "--k", "5", "--a", "3", "--n", "30011", "--method", "binet"),
+    ("eval", "--kind", "Q", "--k", "2", "--n", "30011", "--method", "binet"),
+    ("eval", "--kind", "q", "--k", "3", "--n", "5000", "--method", "binet", "--format", "json"),
     ("eval", "--kind", "P", "--k", "1", "--n", "5000", "--method", "binomial"),
     ("eval", "--kind", "G", "--k", "2", "--a", "3", "--n", "5001", "--method", "double-sum"),
     ("verify", "--k-max", "4", "--a-max", "2", "--n-max", "10", "--format", "json"),
@@ -67,6 +69,7 @@ COMPARED = (
      "--format", "json"),
     ("matrix", "--kind", "G", "--k", "1000000", "--a", "3", "--n", "1600", "--show", "theta-phi"),
     ("table", "--kind", "G", "--symbolic", "--n-max", "60"),
+    ("table", "--kind", "Q", "--symbolic", "--n-max", "60"),
     ("table", "--kind", "P", "--k", "1", "--n-max", "2000"),
     ("table", "--kind", "G", "--k", "2", "--a", "3", "--n-max", "40", "--format", "json"),
     ("verify", "--identities", "all,eigen-verbatim", "--k-max", "2", "--a-max", "2",

@@ -268,12 +268,22 @@ class TestBinetTerm:
         value = binet_term(SeqKind.GEN_PELL, params, n)
         assert isinstance(value, Decimal) and str(value) == str(gen_binet(params, n))
 
-    def test_other_kinds_and_bad_index_are_refused(self):
+    def test_lucas_kinds_equal_term_and_bad_index_is_refused(self):
         for kind in (SeqKind.PELL_LUCAS, SeqKind.MODIFIED_PELL):
-            with pytest.raises(ValueError, match="P and G"):
-                binet_term(kind, SeqParams(1), 5)
+            assert binet_term(kind, SeqParams(1), 5) == term(kind, SeqParams(1), 5)
         with pytest.raises(ValueError):
             binet_term(SeqKind.PELL, SeqParams(1), -1)
+
+    @given(
+        st.sampled_from(SeqKind),
+        st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([3, 8, 15, 99])),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=400),
+    )
+    def test_every_kind_equals_term(self, kind, k, a, n):
+        # the seeds alone pick the coordinate; 1+k is a perfect square at k = 3, 8, 15, 99
+        params = SeqParams(k, a)
+        assert binet_term(kind, params, n) == term(kind, params, n)
 
 
 class TestPrintStream:
