@@ -59,15 +59,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
         values = map(str, islice(walk, args.n_max + 1))
     # Rows are rendered as they are printed, so no output holds them all.
     if args.format == "json":
-        from .jsonout import SLOT, quote, template, write
+        from .jsonout import SLOT, TEXT, template, write
 
         payload: dict = {"kind": args.kind, "symbolic": bool(args.symbolic)}
         if not args.symbolic:
             payload["k"] = args.k
             if kind is SeqKind.GEN_PELL:
                 payload["a"] = params.a
-        row = template({"n": SLOT, "value": SLOT})
-        payload["rows"] = map(row.__mod__, zip(count(), map(quote, values)))
+        row = template({"n": SLOT, "value": TEXT})
+        payload["rows"] = map(row.__mod__, zip(count(), values))
         write(payload)
     else:
         for n, v in enumerate(values):
@@ -182,9 +182,10 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     if args.show == "theta-phi":
         theta, phi = continuant_strings(t)
         if args.format == "json":
-            from .jsonout import quote, write
+            from .jsonout import TEXT, template, write
 
-            write({"n": args.n, "theta": map(quote, theta), "phi": map(quote, phi)})
+            cell = template(TEXT).__mod__
+            write({"n": args.n, "theta": map(cell, theta), "phi": map(cell, phi)})
         else:
             for label, strings in (("theta:", theta), ("phi:  ", phi)):
                 # print's spacing, a string at a time: theta goes out as it is made
@@ -206,9 +207,9 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
             raise ValueError("cofactor matrices exist for kinds P and G only")
         cells = entry_strings(dense)
     if args.format == "json":
-        from .jsonout import item, write
+        from .jsonout import texts, write
 
-        write({"n": args.n, "entries": map(item, cells)})
+        write({"n": args.n, "entries": map(texts, cells)})
     else:
         # a line at a time: the grid's text is never joined into one string
         print(*render_grid(cells), sep="\n")

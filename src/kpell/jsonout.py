@@ -1,14 +1,15 @@
 """JSON text for the CLI: the bytes of ``json.dumps(value, indent=2)``, written a
 piece at a time.
 
-Every value is encoded by the stock encoder, ``json.dumps(value, indent=2)``,
-its lines re-indented to where the value sits, with one exception: ``item``
-quotes a list of strings (a row of matrix cells) by one ``map`` and one join,
-which gives the same text without the pure-Python encoder's generator per
-level and token.
+kpell's own strings (terms, ratios, polynomials in k, p + q*sqrt(d), an eigen
+report's figures) are printable ASCII with no quote or backslash, which JSON
+escapes none of, so they go between quotes as they are: a TEXT value of a
+``template`` shape is a ``"%s"`` slot, and ``texts`` joins a row of them.
+Everything else is encoded by ``json.dumps(value, indent=2)``, its lines
+re-indented to where the value sits.
 
 ``write`` prints a document whose members may be iterators of item texts,
-from ``item`` or a ``template``: the items are written as they come, so the
+from ``texts`` or a ``template``: the items are written as they come, so the
 whole document is never held.
 """
 
@@ -21,39 +22,37 @@ from json.encoder import encode_basestring_ascii as quote
 _UNIT = "  "  # the CLI's indent=2
 # What opens each line of an item of an iterator member: two levels deep.
 ITEM = "\n" + 2 * _UNIT
-# A value that ``template`` makes a %s slot.
-SLOT = "\x00"
+# The values that ``template`` makes a %s slot and a "%s" slot.
+SLOT, TEXT = "\x00", "\x01"
+_TEXTS = '",' + ITEM + _UNIT + '"'  # what joins the strings of ``texts``
 _PIECE = 1 << 20  # characters of items written at once
 
 
 def item(value: object) -> str:
-    """``value`` as an item of an iterator member of a ``write`` document."""
-    if isinstance(value, (list, tuple)) and value:
-        inner = ITEM + _UNIT
-        try:  # a list of strings, quoted by one map
-            return f"[{inner}{(',' + inner).join(map(quote, value))}{ITEM}]"
-        except TypeError:  # quote met an item that is not a string
-            pass
+    """``value`` by the stock encoder, as an item of an iterator member of a ``write`` document."""
     return json.dumps(value, indent=2).replace("\n", ITEM)
 
 
+def texts(row: list[str]) -> str:
+    """``item(row)`` for a list of strings JSON needs no escape in, by one join."""
+    return "[" + ITEM + _UNIT + '"' + _TEXTS.join(row) + '"' + ITEM + "]" if row else "[]"
+
+
 def template(shape: object) -> str:
-    """``item(shape)`` as a %-template: each SLOT value is a %s, to be filled with JSON text."""
-    return item(shape).replace("%", "%%").replace(quote(SLOT), "%s")
+    """``item(shape)`` as a %-template: each SLOT value is a %s, for JSON text,
+    and each TEXT value a "%s", for a string JSON needs no escape in."""
+    form = item(shape).replace("%", "%%")
+    return form.replace(quote(SLOT), "%s").replace(quote(TEXT), '"%s"')
 
 
-def write(payload: dict) -> None:
+def write(payload: dict[str, object]) -> None:
     """Write ``json.dumps(payload, indent=2)`` and a newline to ``sys.stdout``.
 
-    A member may be an iterator of item texts, from ``item`` or a
-    ``template``; it is written as a list, as its items come, and the
-    document's keys must then be strings.  ``sys.stdout`` is read at each
-    call, so a redirected stdout gets the text.
+    The keys are strings.  A member may be an iterator of item texts, from
+    ``texts`` or a ``template``; it is written as a list, as its items come.
+    ``sys.stdout`` is read at each call, so a redirected stdout gets the text.
     """
     stdout = sys.stdout
-    if not any(hasattr(value, "__next__") for value in payload.values()):
-        stdout.write(json.dumps(payload, indent=2) + "\n")
-        return
     sep = "," + ITEM
     text = "{"  # held until the next item is written, or the end
     for key, value in payload.items():
@@ -79,4 +78,4 @@ def write(payload: dict) -> None:
             pending.append(item_text)
             size += len(item_text)
         text = sep.join(pending) + f"\n{_UNIT}],"
-    stdout.write(text[:-1] + "\n}\n")
+    stdout.write(text[:-1] + "\n}\n" if payload else "{}\n")

@@ -18,6 +18,7 @@ selection, whose checks are exact; they must be selected by name.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
 from itertools import product, starmap
@@ -342,27 +343,26 @@ def tally(
     return {name: (p, f) for name, (p, f) in counts.items()}, failures
 
 
-def _row_form(name: str, inputs: Mapping[str, object]) -> tuple[str, bool]:
-    """The %-template of a result's JSON item, from ``CheckResult.to_dict``, and
-    whether an input is a string.  Each input, side and flag is a %s, filled
-    with its JSON text: an int input as it is, a string input quoted."""
-    from .jsonout import SLOT, template
+def _row_form(name: str, inputs: Mapping[str, object]) -> str:
+    """The %-template of a result's JSON item, from ``CheckResult.to_dict``.
+    Each int input and the flag is a %s, filled with its JSON text; each side
+    and string input a "%s", filled with the string as it is."""
+    from .jsonout import SLOT, TEXT, template
 
-    shape = CheckResult(name, dict.fromkeys(inputs, SLOT), SLOT, SLOT).to_dict()
+    marks = {key: TEXT if type(value) is str else SLOT for key, value in inputs.items()}
+    shape = CheckResult(name, marks, TEXT, TEXT).to_dict()
     shape["residual_is_zero"] = SLOT
-    return template(shape), any(type(value) is str for value in inputs.values())
+    return template(shape)
 
 
 def json_rows(results: Iterable[CheckResult]) -> tuple[list[str], int]:
     """Each result as ``jsonout.item(result.to_dict())``, and the number that failed.
 
-    No dict is built for a result: its row fills one %-template, made once
-    per identity and input keys.  A registry body gives an input under a key
-    the same type in every row it makes, an int or a string.
+    No dict is built for a result: its row fills one %-template, made once per
+    identity and input keys, with its inputs, sides and flag as they are.  A
+    registry body gives an input under a key one type, an int or a string.
     """
-    from .jsonout import quote
-
-    forms: dict[tuple, tuple[str, bool]] = {}
+    forms: dict[tuple, str] = {}
     rows: list[str] = []
     failed = 0
     for r in results:
@@ -370,12 +370,8 @@ def json_rows(results: Iterable[CheckResult]) -> tuple[list[str], int]:
         key = (name, *inputs)
         if key not in forms:
             forms[key] = _row_form(name, inputs)
-        form, quoted = forms[key]
-        values = inputs.values()
-        if quoted:
-            values = [quote(v) if type(v) is str else v for v in values]
         flag = "true" if passed else "false"
-        rows.append(form % (*values, quote(to_str(lhs)), quote(to_str(rhs)), flag))
+        rows.append(forms[key] % (*inputs.values(), to_str(lhs), to_str(rhs), flag))
         failed += not passed
     return rows, failed
 
@@ -457,6 +453,30 @@ def _plan(entries: list[_Identity], grid: SweepGrid, top: int) -> Iterator[Check
                 yield from starmap(partial(entry.body, *seqs, params), indices)
 
 
+def _first_overflow(grid: SweepGrid, paper_verbatim: bool) -> None:
+    """Raise the error an eigen sweep over the grid meets first, if it meets one.
+
+    ``eigen_product`` refuses an n whose product or P_{n+1} is past a double:
+    at each k, every n from some n on.  The sweep runs k outer, n inner, so
+    it first meets a refusal at the first k refused at n_max, at the least
+    refused n there, which bisection finds.
+    """
+    from .closed_forms import eigen_product
+
+    def refused(k: int, n: int) -> bool:
+        try:
+            eigen_product(k, n, paper_verbatim)
+        except ValueError:
+            return True
+        return False
+
+    ns = range(1, grid.n_max + 1)
+    for k in range(1, grid.k_max + 1):
+        if refused(k, grid.n_max):
+            n = ns[bisect_left(ns, True, key=partial(refused, k))]
+            eigen_product(k, n, paper_verbatim)  # raises the sweep's error at (k, n)
+
+
 def sweep(
     grid: SweepGrid = SweepGrid(), identities: Sequence[str] = ("all",)
 ) -> Iterator[CheckResult]:
@@ -464,16 +484,21 @@ def sweep(
 
     The call settles the plan: the identities with a tuple to check, and the
     largest index they read, which the guard refuses here, before any prefix
-    is built or any check runs.  Each prefix is built once, up to that index,
-    and lives as long as the iterator.
+    is built or any check runs.  An eigen check past a double is refused here
+    too, with the error its sweep would meet first.  Each prefix is built
+    once, up to that index, and lives as long as the iterator.
     """
-    selected = map(_REGISTRY.__getitem__, expand_selection(identities))
+    names = expand_selection(identities)
+    selected = map(_REGISTRY.__getitem__, names)
     # any() stops at the first valid tuple, so a refused sweep lists no tuples
     entries = [entry for entry in selected if any(entry.valid_tuples(grid.n_max))]
     if not entries:
         return iter(())
     top = max(entry.top(grid.n_max) for entry in entries)
     guard_index(top)
+    for name in names:  # each eigen selection has its tuples: n_max >= 1
+        if name in FLOAT_IDENTITIES:
+            _first_overflow(grid, name == "eigen-verbatim")
     return _plan(entries, grid, top)
 
 

@@ -502,6 +502,41 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "n=60 exceeds the O(n) evaluation guard of 50" in err
 
+    @pytest.mark.parametrize(
+        "identity, k_max, n_max, message",
+        [
+            ("eigen-verbatim", 1, 806, "exact term P_807 overflows double precision at k=1, n=806"),
+            ("eigen", 3, 2000, "eigenvalue product overflows double precision at k=1, n=806"),
+        ],
+    )
+    def test_eigen_past_a_double_is_refused_at_the_call(
+        self, capsys, monkeypatch, identity, k_max, n_max, message
+    ):
+        # the error the sweep would meet first, before any eigen check runs
+        from kpell import closed_forms
+
+        calls = []
+        eigen_product = closed_forms.eigen_product
+        monkeypatch.setattr(
+            closed_forms, "eigen_product", lambda *a: calls.append(a) or eigen_product(*a)
+        )
+        code, out, err = run(
+            capsys, "verify", "--identities", identity, "--k-max", str(k_max),
+            "--n-max", str(n_max),
+        )
+        assert (code, out, err) == (2, "", f"kpell: error: {message}\n")
+        # n_max, a bisection of 1..n_max, then the refused n once more
+        assert len(calls) <= 2 + n_max.bit_length()
+
+    @pytest.mark.parametrize("identity", ["eigen", "eigen-verbatim"])
+    def test_eigen_below_a_double_runs_every_check(self, capsys, identity):
+        code, out, err = run(
+            capsys, "verify", "--identities", identity, "--k-max", "1", "--n-max", "805"
+        )
+        assert (code, err) == (1, "")
+        name, passed, failed = out.splitlines()[1].split()
+        assert name == identity and int(passed) + int(failed) == 805
+
     def test_squares2_sweep_runs_at_its_largest_index(self, capsys, monkeypatch):
         # squares2 reads P_{2n} = P_20 at n = 10, and nothing past it
         monkeypatch.setenv("KPELL_GUARD_N", "20")

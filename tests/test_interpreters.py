@@ -26,17 +26,19 @@ MINORS = ("3.10", "3.12", "3.13")
 #   and P prefixes at square 1+k (k = 3, 8) too.  It also renders the FAIL
 #   lines of eigen-verbatim, which exits 1 by design.
 # - matrix renders the inverse's reduced ratio cells (their gcds bounded
-#   through theta/phi, JSON lists of strings quoted in one pass), a cofactor
-#   grid formatted a row at a time, and theta-phi continuants from the
-#   printing walk.  That walk runs on Decimal from its first step, up to
-#   15,341 bits (k = 2**59) and about 16,000 bits (G, k = 10**6), past
-#   STR_MAX_BITS.
+#   through theta/phi), a cofactor grid formatted a row at a time, and
+#   theta-phi continuants from the printing walk.  That walk runs on Decimal
+#   from its first step, up to 15,341 bits (k = 2**59) and about 16,000 bits
+#   (G, k = 10**6), past STR_MAX_BITS.  A JSON grid's rows, the generating
+#   matrix's among them, are each one join of cells between quotes.
 # - table renders symbolic rows of G and Q, and numeric rows from the same walk, small
-#   ones at k = 1.
+#   ones at k = 1.  In JSON, values past STR_MAX_BITS (P at k = 1 to n = 12,000)
+#   and polynomials in k fill "%s" slots of one row template.
 # - The JSON writer streams a table's rows, theta-phi's two lists, a sweep's
-#   row texts (FAIL rows of eigen-verbatim among them) and a cofactor grid's
-#   rows.  Each interpreter's own json.dumps writes the heads and a whole
-#   eval payload.
+#   row texts (FAIL rows of eigen-verbatim among them) and a grid's rows.
+#   kpell's own strings go between quotes as they are; each interpreter's own
+#   json.dumps writes the templates and each member of a document's head, an
+#   eval payload's among them.
 COMPARED = (
     ("bench", "--k", "1", "--n", "200000"),
     ("bench", "--k", "1", "--n", "100000", "--method", "recurrence"),
@@ -64,13 +66,16 @@ COMPARED = (
     ("matrix", "--kind", "G", "--k", "1", "--a", "4", "--n", "60", "--show", "cofactor",
      "--format", "json"),
     ("matrix", "--kind", "q", "--k", "2", "--n", "150", "--show", "matrix"),
+    ("matrix", "--kind", "q", "--k", "2", "--n", "150", "--show", "matrix", "--format", "json"),
     ("matrix", "--kind", "P", "--k", "576460752303423488", "--n", "520", "--show", "theta-phi"),
     ("matrix", "--kind", "P", "--k", "576460752303423488", "--n", "520", "--show", "theta-phi",
      "--format", "json"),
     ("matrix", "--kind", "G", "--k", "1000000", "--a", "3", "--n", "1600", "--show", "theta-phi"),
     ("table", "--kind", "G", "--symbolic", "--n-max", "60"),
+    ("table", "--kind", "G", "--symbolic", "--n-max", "60", "--format", "json"),
     ("table", "--kind", "Q", "--symbolic", "--n-max", "60"),
     ("table", "--kind", "P", "--k", "1", "--n-max", "2000"),
+    ("table", "--kind", "P", "--k", "1", "--n-max", "12000", "--format", "json"),
     ("table", "--kind", "G", "--k", "2", "--a", "3", "--n-max", "40", "--format", "json"),
     ("verify", "--identities", "all,eigen-verbatim", "--k-max", "2", "--a-max", "2",
      "--n-max", "6", "--format", "json"),

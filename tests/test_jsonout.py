@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kpell import jsonout, verify
+from kpell import cli, jsonout, verify
 from kpell.sequences import SeqKind, SeqParams, prefix
 from kpell.verify import CheckResult, SweepGrid, json_rows, run_suite
 
@@ -23,7 +23,7 @@ PAYLOADS = [
     {"big": 10**400, "neg": -(10**30), "zero": 0, "tuple": (1, "two", (3,))},
     [{"identity_name": "cassini", "inputs": {"a": 1, "k": 2, "n": 3}, "lhs": "-36",
       "rhs": "-36", "residual_is_zero": True}],
-    # lists of strings take the one-pass path; mixed and nested ones fall back
+    # lists of strings, escapes among them, and mixed and nested lists
     ["plain", "with \"quotes\"", "back\\slash", "café – \U0001d49c", "\n\t\x00", ""],
     {"entries": [], "rows": [[], []]},
     ["2/5", 7, "-1/5", None, True, "x"],
@@ -148,6 +148,60 @@ def test_template_fills_to_the_item():
     form = jsonout.template({"n": jsonout.SLOT, "value": jsonout.SLOT, "tag": "100%"})
     want = jsonout.item({"n": 12, "value": "3", "tag": "100%"})
     assert form % (12, jsonout.quote("3")) == want
+
+
+# -- the TEXT rule: kpell's own strings go between quotes as they are ----------------
+
+# terms, ratios and signs, and any printable ASCII but a quote or a backslash:
+# polynomials in k, p + q*sqrt(d), an eigen report's figures
+kpell_strings = st.from_regex(r"-?[0-9]+(/[0-9]+)?", fullmatch=True) | st.text(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\')
+)
+
+
+@given(st.lists(kpell_strings, max_size=8))
+def test_texts_is_the_stock_item(row):
+    assert jsonout.texts(row) == jsonout.item(row)
+
+
+@given(kpell_strings)
+def test_text_slot_is_a_quoted_slot(s):
+    text, slot = jsonout.template({"v": jsonout.TEXT}), jsonout.template({"v": jsonout.SLOT})
+    assert text % s == slot % jsonout.quote(s) == jsonout.item({"v": s})
+
+
+def _failing_docagne_prefix(kind, params, n):
+    # verify's prefixes, G_4 bumped as in _failing_docagne: d'Ocagne rows fail
+    terms = prefix(kind, params, n)
+    if kind is SeqKind.GEN_PELL:
+        terms[4] += 1
+    return terms
+
+
+ROUND_TRIPS = [
+    *[("table", "--kind", kind, "--k", "3", "--n-max", "30") for kind in "PQq"],
+    ("table", "--kind", "G", "--k", "3", "--a", "2", "--n-max", "30"),
+    *[("table", "--kind", kind, "--symbolic", "--n-max", "12") for kind in "GPQq"],
+    *[("matrix", "--kind", "G", "--k", "2", "--a", "3", "--n", "7", "--show", show)
+      for show in ("matrix", "inverse", "cofactor", "theta-phi")],
+    ("eval", "--kind", "G", "--k", "2", "--a", "3", "--n", "300"),
+    ("eval", "--kind", "P", "--k", "1", "--n", "20000", "--method", "fast"),
+    ("verify", "--identities", "docagne,cofactor-dets,eigen,eigen-verbatim",
+     "--k-max", "3", "--a-max", "2", "--n-max", "6"),
+]
+
+
+@pytest.mark.parametrize("argv", ROUND_TRIPS, ids=" ".join)
+def test_cli_json_round_trips(capsys, monkeypatch, argv):
+    # a string that needed an escape would come back escaped
+    monkeypatch.setattr(verify, "prefix", _failing_docagne_prefix)
+    code = cli.main([*argv, "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == (1 if argv[0] == "verify" else 0)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    if argv[0] == "verify":  # a failing d'Ocagne side is p + q*sqrt(d)
+        sides = [r["rhs"] for r in json.loads(out)["results"] if not r["residual_is_zero"]]
+        assert any("*sqrt(" in side for side in sides)
 
 
 # -- verify's rows: one template per identity, input keys and input types ----------

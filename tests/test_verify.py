@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -491,6 +492,33 @@ class TestSharedPrefixes:
         with pytest.raises(ValueError, match=r"^n=40 exceeds"):
             verify.sweep(grid, selection)  # at the call, before any next()
         assert built == [] and checked == []
+
+    @pytest.mark.parametrize(
+        "selection, grid",
+        [
+            (("eigen-verbatim",), SweepGrid(1, 1, 806)),
+            (("eigen",), SweepGrid(3, 1, 2000)),
+            (("eigen", "eigen-verbatim"), SweepGrid(3, 1, 700)),  # k = 3 refuses n = 647
+            (("eigen-verbatim",), SweepGrid(3, 1, 647)),
+            (("eigen-verbatim",), SweepGrid(4, 1, 620)),  # k <= 3 pass, k = 4 refuses 605
+        ],
+    )
+    def test_eigen_refusal_is_the_sweeps_first(self, monkeypatch, selection, grid):
+        checked = []
+        for name in FLOAT_IDENTITIES:
+            entry = verify._REGISTRY[name]
+            counted = partial(lambda body, *args: checked.append(args) or body(*args), entry.body)
+            monkeypatch.setitem(verify._REGISTRY, name, entry._replace(body=counted))
+        with pytest.raises(ValueError) as refused:
+            verify.sweep(grid, selection)  # at the call, before any next()
+        assert checked == []
+        # the error the plan itself meets first, every check below it run
+        entries = [verify._REGISTRY[name] for name in selection]
+        with pytest.raises(ValueError) as met:
+            for _ in verify._plan(entries, grid, grid.n_max + 1):
+                pass
+        assert str(refused.value) == str(met.value)
+        assert checked
 
 
 class _Recorded(list):
